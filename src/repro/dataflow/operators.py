@@ -17,15 +17,25 @@ Design rules that make exactly-once verifiable:
   no-op. Together with the protocols' sequence-number deduplication this
   yields exactly-once *processing* (paper Def. 3): the post-recovery state
   equals the failure-free state.
-- **Snapshot = deepcopy** — asynchronous checkpointing is modelled by
-  copying state at snapshot time; cost is modelled separately from bytes.
+- **Snapshot = structural copy** — asynchronous checkpointing is modelled
+  by copying state at snapshot time; cost is modelled separately from
+  bytes. Only the container levels are copied (:func:`_copy_slots`); the
+  leaves (uid strings, path tuples, record-value dicts) are shared between
+  live state and every snapshot, so **a record value held in state is never
+  mutated** by any operator. ``restore`` copies again, so a stored
+  checkpoint stays intact however the restored state changes later.
 """
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, List, Optional, Tuple
 
 from .messages import Record
+
+
+def _copy_slots(state: Dict[Any, Any]) -> Dict[Any, Any]:
+    """Copy a ``key -> dict|set`` mapping two levels deep, sharing the
+    leaves; insertion order is preserved at both levels."""
+    return {k: slot.copy() for k, slot in state.items()}
 
 
 class Operator:
@@ -138,10 +148,10 @@ class IncrementalJoinOp(Operator):
         return out
 
     def snapshot(self) -> Any:
-        return (copy.deepcopy(self.left), copy.deepcopy(self.right))
+        return (_copy_slots(self.left), _copy_slots(self.right))
 
     def restore(self, snap: Any) -> None:
-        self.left, self.right = copy.deepcopy(snap[0]), copy.deepcopy(snap[1])
+        self.left, self.right = _copy_slots(snap[0]), _copy_slots(snap[1])
 
     def state_bytes(self) -> int:
         n = sum(len(v) for v in self.left.values()) + sum(len(v) for v in self.right.values())
@@ -212,11 +222,15 @@ class WindowJoinOp(Operator):
             )
         return out
 
+    @staticmethod
+    def _copy(windows: Dict[int, Tuple[Dict, Dict]]) -> Dict[int, Tuple[Dict, Dict]]:
+        return {w: (_copy_slots(l), _copy_slots(r)) for w, (l, r) in windows.items()}
+
     def snapshot(self) -> Any:
-        return (copy.deepcopy(self.windows), self.max_window)
+        return (self._copy(self.windows), self.max_window)
 
     def restore(self, snap: Any) -> None:
-        self.windows = copy.deepcopy(snap[0])
+        self.windows = self._copy(snap[0])
         self.max_window = snap[1]
 
     def state_bytes(self) -> int:
@@ -278,10 +292,10 @@ class WindowCountOp(Operator):
         ]
 
     def snapshot(self) -> Any:
-        return (copy.deepcopy(self.counts), self.max_window)
+        return ({w: _copy_slots(km) for w, km in self.counts.items()}, self.max_window)
 
     def restore(self, snap: Any) -> None:
-        self.counts = copy.deepcopy(snap[0])
+        self.counts = {w: _copy_slots(km) for w, km in snap[0].items()}
         self.max_window = snap[1]
 
     def state_bytes(self) -> int:
@@ -331,7 +345,9 @@ class CyclicJoinOp(Operator):
     keyed by their reachable (path-end) node. Link events join with sources
     whose path ends at the link's start node; source events join with links
     starting at their reachable node. Delete events remove state (paper:
-    "it will remove every link or source affected from its state").
+    "it will remove every link or source affected from its state"); an
+    index from source id to its entries, rebuilt on restore and never
+    snapshotted, makes a source delete cost its own entries only.
     """
 
     def __init__(self, idx: int, n_workers: int, link_op: str, source_op: str, loop_op: str):
@@ -341,6 +357,7 @@ class CyclicJoinOp(Operator):
         self.loop_op = loop_op
         self.links: Dict[Any, Dict[Tuple, None]] = {}  # start -> {(u, v): None}
         self.sources: Dict[Any, Dict[Tuple, None]] = {}  # end-node -> {(src, path): None}
+        self._by_src: Dict[Any, Dict[Tuple, None]] = {}  # src -> {(src, path): None}
 
     @staticmethod
     def _pair_record(src_tuple: Tuple, link: Tuple, ingest_ts: float) -> Record:
@@ -371,9 +388,9 @@ class CyclicJoinOp(Operator):
                 out.append(self._pair_record(st, link, record.ingest_ts))
         else:  # source events: fresh sources, recursive sources, or deletes
             if v["op"] == "del_source":
-                for end in list(self.sources):
-                    for st in [t for t in self.sources[end] if t[0] == v["s"]]:
-                        del self.sources[end][st]
+                # end-node slots emptied here stay in place
+                for st in self._by_src.pop(v["s"], ()):
+                    del self.sources[st[1][-1]][st]
                 return []
             st = (v["s"], tuple(v["path"]))
             end = st[1][-1]
@@ -381,15 +398,20 @@ class CyclicJoinOp(Operator):
             if st in slot:
                 return []
             slot[st] = None
+            self._by_src.setdefault(st[0], {})[st] = None
             for link in self.links.get(end, {}):
                 out.append(self._pair_record(st, link, record.ingest_ts))
         return out
 
     def snapshot(self) -> Any:
-        return (copy.deepcopy(self.links), copy.deepcopy(self.sources))
+        return (_copy_slots(self.links), _copy_slots(self.sources))
 
     def restore(self, snap: Any) -> None:
-        self.links, self.sources = copy.deepcopy(snap[0]), copy.deepcopy(snap[1])
+        self.links, self.sources = _copy_slots(snap[0]), _copy_slots(snap[1])
+        self._by_src = {}
+        for slot in self.sources.values():
+            for st in slot:
+                self._by_src.setdefault(st[0], {})[st] = None
 
     def state_bytes(self) -> int:
         n_links = sum(len(v) for v in self.links.values())

@@ -44,7 +44,7 @@ class CheckpointMeta:
 @dataclass
 class StoredCheckpoint:
     meta: CheckpointMeta
-    state: Any  #: deep-copied operator state (or source offset)
+    state: Any  #: structural copy of operator state (or source offset)
 
 
 class CheckpointStore:

@@ -1,5 +1,9 @@
 """Unit tests for operator behaviours: semantics, idempotence, snapshots."""
+import copy
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dataflow.messages import Record
 from repro.dataflow.operators import (
@@ -291,3 +295,132 @@ class TestCyclicSelectProject:
         assert out[0].value["path"] == (1, 2, 3)
         assert out[0].uid == "path:1:1-2-3"
         assert out[0].key == 3
+
+
+# ---------------------------------------------------------------------------
+# Snapshot isolation. Snapshots copy only the container levels and share the
+# leaves, so neither later processing nor a restore may reach a stored
+# snapshot through a shared slot.
+# ---------------------------------------------------------------------------
+
+#: per stateful operator: a factory, records that build state, and records
+#: that then change it inside the slots the snapshot already holds
+ISOLATION_CASES = {
+    "incremental_join": (
+        make_join,
+        [(rec("l1", 1, {"id": 1}), "L"), (rec("r1", 1, {"id": 9}), "R")],
+        [(rec("l2", 1, {"id": 2}), "L"), (rec("r2", 1, {"id": 8}), "R"),
+         (rec("l3", 2, {"id": 3}), "L")],
+    ),
+    "window_join": (
+        make_wjoin,
+        [(rec("l1", 1, {"id": 1}, ts=3.0), "L"), (rec("r1", 1, {"id": 9}, ts=4.0), "R")],
+        [(rec("l2", 1, {"id": 2}, ts=5.0), "L"), (rec("r2", 1, {"id": 8}, ts=6.0), "R"),
+         (rec("l3", 1, {"id": 3}, ts=25.0), "L")],  # window 2 evicts window 0
+    ),
+    "window_count": (
+        lambda: WindowCountOp(0, 1, window=10.0, out_kind="o"),
+        [(rec("b1", 5, {}, ts=1.0), "s"), (rec("b2", 6, {}, ts=2.0), "s")],
+        [(rec("b3", 5, {}, ts=3.0), "s"), (rec("b4", 6, {}, ts=4.0), "s"),
+         (rec("b5", 5, {}, ts=25.0), "s")],  # window 2 evicts window 0
+    ),
+    "cyclic_join": (
+        make_cjoin,
+        [(link("l1", 1, 2), "L"), (srcn("s1", 1), "S"), (srcn("s2", 7, path=(7, 1)), "S")],
+        [(link("l2", 1, 3), "L"), (srcn("s3", 4, path=(4, 1)), "S"),
+         (link("d1", 1, 2, op="del_link"), "L"), (srcn("d2", 7, op="del_source"), "S")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ISOLATION_CASES))
+class TestSnapshotIsolation:
+    def _built(self, case):
+        factory, build, change = ISOLATION_CASES[case]
+        op = factory()
+        for r, frm in build:
+            op.process(r, frm)
+        return op, change
+
+    def test_live_changes_leave_snapshot_intact(self, case):
+        op, change = self._built(case)
+        snap = op.snapshot()
+        frozen = copy.deepcopy(snap)
+        for r, frm in change:
+            op.process(r, frm)
+        assert snap == frozen
+
+    def test_restore_twice_gives_same_state(self, case):
+        op, change = self._built(case)
+        snap = op.snapshot()
+        frozen = copy.deepcopy(snap)
+        op.restore(snap)
+        fp = op.state_fingerprint()
+        for r, frm in change:
+            op.process(r, frm)
+        assert op.state_fingerprint() != fp
+        op.restore(snap)
+        assert op.state_fingerprint() == fp
+        assert snap == frozen
+
+
+# ---------------------------------------------------------------------------
+# CyclicJoinOp's source-id index against the full scan it replaced.
+# ---------------------------------------------------------------------------
+
+
+class ScanCyclicJoinOp(CyclicJoinOp):
+    """Oracle only: deletes a source by scanning every end-node slot."""
+
+    def process(self, record, from_op):
+        v = record.value
+        if from_op == self.source_op and v["op"] == "del_source":
+            for end in list(self.sources):
+                for entry in [t for t in self.sources[end] if t[0] == v["s"]]:
+                    del self.sources[end][entry]
+            return []
+        return super().process(record, from_op)
+
+
+_node = st.integers(0, 4)
+_step = st.one_of(
+    st.tuples(st.just("add_link"), _node, _node),
+    st.tuples(st.just("del_link"), _node, _node),
+    st.tuples(st.just("add_source"), _node, st.lists(_node, max_size=3)),
+    st.tuples(st.just("del_source"), _node),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore"), st.integers(0, 7)),
+)
+
+
+def _cyclic_record(i, step):
+    kind = step[0]
+    if kind in ("add_link", "del_link"):
+        return link(f"e{i}", step[1], step[2], op=kind), "L"
+    if kind == "add_source":
+        return srcn(f"e{i}", step[1], path=(step[1], *step[2])), "S"
+    return srcn(f"e{i}", step[1], op="del_source"), "S"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_step, max_size=60))
+@example([("add_source", 1, [2]), ("snapshot",), ("del_source", 1), ("add_source", 1, []),
+          ("restore", 0), ("del_source", 1), ("add_source", 1, [2])])
+def test_indexed_source_delete_matches_full_scan(steps):
+    ops = [make_cjoin(), ScanCyclicJoinOp(0, 1, link_op="L", source_op="S", loop_op="P")]
+    snaps = [[], []]
+    for i, step in enumerate(steps):
+        if step[0] == "snapshot":
+            for op, kept in zip(ops, snaps):
+                kept.append(op.snapshot())
+        elif step[0] == "restore":
+            if snaps[0]:
+                for op, kept in zip(ops, snaps):
+                    op.restore(kept[step[1] % len(kept)])
+        else:
+            r, frm = _cyclic_record(i, step)
+            outs = [[o.uid for o in op.process(r, frm)] for op in ops]
+            assert outs[0] == outs[1]
+        assert ops[0].state_fingerprint() == ops[1].state_fingerprint()
+        # same slots in the same order, emptied end-node slots included
+        assert list(ops[0].sources.items()) == list(ops[1].sources.items())
