@@ -9,7 +9,7 @@ message-overhead metric (paper Table II).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional, Tuple
 
@@ -33,7 +33,6 @@ class Kind(Enum):
 
     DATA = "data"  #: a record produced by the workload
     MARKER = "marker"  #: COOR checkpoint barrier marker
-    PROTO = "proto"  #: protocol metadata (e.g. UNC checkpoint meta to coordinator)
 
 
 @dataclass
@@ -66,15 +65,19 @@ class Record:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A message in flight on a channel.
 
     ``seq`` is the per-channel FIFO sequence number assigned at send time;
-    UNC/CIC use it for message logging, dedup and orphan detection.
+    UNC/CIC use it for message logging, dedup and orphan detection. On a
+    source channel it is the record's partition offset.
     ``payload_bytes`` is the workload payload size; ``proto_bytes`` is
     protocol overhead riding on this message (marker size, CIC piggyback).
     ``piggyback`` carries CIC's clock/vector payload when present.
+    ``meta`` is set only on COOR markers and coordinator triggers (round
+    id, trigger flag). ``arr`` is the virtual time the message entered its
+    destination channel queue.
     """
 
     kind: Kind
@@ -85,19 +88,8 @@ class Message:
     proto_bytes: int = 0
     send_ts: float = 0.0
     piggyback: Optional[dict] = None
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.payload_bytes + self.proto_bytes
-
-    @property
-    def src(self) -> InstanceId:
-        return (self.channel[0], self.channel[1])
-
-    @property
-    def dst(self) -> InstanceId:
-        return (self.channel[2], self.channel[3])
+    meta: Optional[dict] = None
+    arr: float = 0.0
 
 
 #: Default workload payload sizes in bytes per record kind. Q1's bids are the

@@ -21,13 +21,37 @@ Execution model (all virtual time, deterministic given the config):
   messages (epoch bump); messages already sent toward the external sink
   still arrive. Recovery restores the protocol's recovery line, rewinds
   source offsets, replays logged in-flight messages, and resumes.
+
+Event-loop mechanics (wall-clock cost only; virtual-time results are
+fixed by the rules above):
+
+- Heap events are keyed ``(virtual time, counter)``; the counter is one
+  global sequence, so events at equal virtual time pop in scheduling
+  order.
+- Sources are scheduled lazily. Each source cursor has at most one
+  pending heap event, for its next record; when it pops, the cursor's
+  following offset is pushed and the record is enqueued. Scheduling a
+  cursor (at start and again at resume) *reserves* one counter value per
+  remaining record, so offset ``o`` of a cursor scheduled with floor ``f``
+  always has the key ``(max(ingest_ts, f), base + o)`` it would have had
+  if the whole suffix were pushed at once. Because each partition is in
+  ingest-time order these keys increase with ``o``, so the pop order,
+  every counter value and every result are those of eager scheduling,
+  while the heap holds O(sources + in-flight) events and resume costs
+  O(sources). An out-of-order partition raises ``ValueError``.
+- Routing is precomputed per instance at build time: for every outgoing
+  edge, the channel tuple per target index, and the fixed target channel
+  when routing does not depend on the record (sink and forward edges).
+  Per-operator service times and the set of sink operators are
+  precomputed too. Protocol and operator hooks are looked up when called,
+  so wrappers installed after construction take effect.
 """
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -35,7 +59,6 @@ from .costs import SimCost
 from .graph import LogicalGraph
 from .kafka_sim import ReplayableLog, SourceCursor
 from .messages import (
-    CKPT_META_BYTES,
     MARKER_BYTES,
     Channel,
     InstanceId,
@@ -130,6 +153,30 @@ class Simulation:
                         self.out_channels[(e.src, i)].append(ch)
                         self.in_channels[(e.dst, j)].append(ch)
 
+        # --- dispatch tables -----------------------------------------------
+        self._sink_ops = frozenset(graph.sinks())
+        #: op -> per-record service seconds
+        self._service = {
+            name: spec.service_time or self.cost.op_service(spec.kind)
+            for name, spec in graph.ops.items()
+        }
+        #: inst -> ((edge, fixed target channels or None, channel per
+        #: target index), ...) over the op's outgoing edges; targets are
+        #: fixed on sink edges and plain forward edges, else ``edge.route``
+        self._routes: Dict[InstanceId, tuple] = {}
+        for op, idx in self.instances:
+            table = []
+            for e in graph.out_edges(op):
+                if e.dst in self._sink_ops:
+                    chans = ((op, idx, e.dst, 0),)
+                    fixed = chans
+                else:
+                    chans = tuple((op, idx, e.dst, j) for j in range(n_workers))
+                    forward = e.routing == "forward" and e.broadcast_pred is None
+                    fixed = (chans[idx],) if forward else None
+                table.append((e, fixed, chans))
+            self._routes[(op, idx)] = tuple(table)
+
         # --- channel state -------------------------------------------------
         self.sent_seq: Dict[Channel, int] = {}
         self.recv_seq: Dict[Channel, int] = {}
@@ -188,26 +235,28 @@ class Simulation:
             seq=0,
             record=None,
             payload_bytes=0,
+            meta={**meta, "trigger": True},
         )
-        msg.meta.update(meta)
-        msg.meta["trigger"] = True
         self._enqueue(self.now, msg)
 
     # --------------------------------------------------------------- sources
     def _schedule_source_records(self, inst: InstanceId, t_floor: float) -> None:
+        """Reserve heap keys for the cursor's remaining records and push the
+        first; ``run`` pushes each next one when its predecessor pops."""
         cur = self.cursors[inst]
-        log, part = cur.log, cur.partition
-        for off in range(cur.offset, log.size(part)):
-            rec = log.read(part, off)
-            ch = (_SRC, 0, inst[0], inst[1])
-            msg = Message(kind=Kind.DATA, channel=ch, seq=off, record=rec, payload_bytes=0)
-            msg.meta["offset"] = off
-            self._push(max(rec.ingest_ts, t_floor), "arrive", msg)
+        part = cur.log.partitions[cur.partition]
+        start = cur.offset
+        base = self._counter + 1 - start
+        self._counter += len(part) - start
+        if start < len(part):
+            src = (inst, (_SRC, 0, inst[0], inst[1]), part, base, t_floor)
+            key = max(part[start].ingest_ts, t_floor)
+            heapq.heappush(self.heap, (key, base + start, "src", self.epoch, (src, start)))
 
     # --------------------------------------------------------- channel plumb
     def _enqueue(self, t: float, msg: Message) -> None:
         ch = msg.channel
-        msg.meta["arr"] = t
+        msg.arr = t
         q = self.queues.get(ch)
         if q is None:
             q = self.queues[ch] = deque()
@@ -225,7 +274,7 @@ class Simulation:
         if q and not self.in_ready.get(ch):
             self.in_ready[ch] = True
             w = ch[3]
-            heapq.heappush(self.heads[w], (q[0].meta["arr"], self._counter, ch))
+            heapq.heappush(self.heads[w], (q[0].arr, self._counter, ch))
             self._counter += 1
             self._dispatch(w, self.now)
 
@@ -247,15 +296,16 @@ class Simulation:
                 continue
             msg = q.popleft()
             if q:
-                heapq.heappush(heads, (q[0].meta["arr"], self._counter, ch))
+                heapq.heappush(heads, (q[0].arr, self._counter, ch))
                 self._counter += 1
             else:
                 self.in_ready[ch] = False
             dur = self._process(w, ch, msg, t)
             if dur is None:
                 continue  # dropped with zero cost (dup / stale offset)
-            self.busy_until[w] = t + dur
-            self._push(t + dur, "proc", w)
+            self.busy_until[w] = done = t + dur
+            self._counter += 1
+            heapq.heappush(self.heap, (done, self._counter, "proc", self.epoch, w))
             return
 
     def _process(self, w: int, ch: Channel, msg: Message, t: float) -> Optional[float]:
@@ -266,19 +316,18 @@ class Simulation:
         # reentrancy guard: protocol hooks (unblock_channel) may try to
         # re-dispatch this worker while we are mid-process
         self.current[w] = self._outbox
-        spec = self.graph.ops[inst[0]]
 
         if ch[0] == _SRC:
             cur = self.cursors[inst]
-            if msg.meta["offset"] != cur.offset:
+            if msg.seq != cur.offset:
                 self._outbox = None
                 self.current[w] = None
                 return None  # stale pre-rollback schedule
             cur.advance()
             self.telemetry.n_source_emitted += 1
-            service = spec.service_time or cost.op_service("source")
+            service = self._service[inst[0]]
             self._emit(t, inst, msg.record)
-        elif msg.kind == Kind.MARKER:
+        elif msg.kind is Kind.MARKER:
             service = cost.op_service("marker")
             self.protocol.on_marker(t, inst, msg)
         else:
@@ -291,7 +340,7 @@ class Simulation:
             extra = self.protocol.before_process(t, inst, msg)
             self._extra_service += extra
             self.recv_seq[ch] = msg.seq
-            service = spec.service_time or cost.op_service(spec.kind)
+            service = self._service[inst[0]]
             service += cost.serialize_per_byte * msg.proto_bytes
             for rec in self.instances[inst].process(msg.record, ch[0]):
                 self._emit(t, inst, rec)
@@ -303,29 +352,19 @@ class Simulation:
         return dur
 
     def _emit(self, t: float, inst: InstanceId, rec: Record) -> None:
-        op, idx = inst
-        for edge in self.graph.out_edges(op):
-            if self.graph.ops[edge.dst].is_sink:
-                targets = [0]
-            else:
-                targets = edge.route(rec, idx, self.W)
-            for j in targets:
-                ch = (op, idx, edge.dst, j)
-                seq = self.sent_seq.get(ch, 0) + 1
-                self.sent_seq[ch] = seq
-                msg = Message(
-                    kind=Kind.DATA,
-                    channel=ch,
-                    seq=seq,
-                    record=rec,
-                    payload_bytes=payload_bytes_for(rec),
-                    send_ts=t,
-                )
-                self.protocol.on_send(t, inst, msg)
-                self.telemetry.n_data_msgs += 1
-                self.telemetry.data_payload_bytes += msg.payload_bytes
-                self.telemetry.piggyback_bytes += msg.proto_bytes
-                self._outbox.append(msg)
+        sent_seq, tel, outbox = self.sent_seq, self.telemetry, self._outbox
+        on_send = self.protocol.on_send
+        payload = payload_bytes_for(rec)
+        for edge, fixed, chans in self._routes[inst]:
+            for ch in fixed or [chans[j] for j in edge.route(rec, inst[1], self.W)]:
+                seq = sent_seq.get(ch, 0) + 1
+                sent_seq[ch] = seq
+                msg = Message(Kind.DATA, ch, seq, rec, payload, 0, t)
+                on_send(t, inst, msg)
+                tel.n_data_msgs += 1
+                tel.data_payload_bytes += msg.payload_bytes
+                tel.piggyback_bytes += msg.proto_bytes
+                outbox.append(msg)
 
     def emit_marker(self, inst: InstanceId, round_id: int) -> None:
         """COOR: broadcast a marker on every non-sink outgoing channel.
@@ -336,7 +375,7 @@ class Simulation:
         op, idx = inst
         box = self._outbox if self._outbox is not None else []
         for ch in self.out_channels[inst]:
-            if self.graph.ops[ch[2]].is_sink:
+            if ch[2] in self._sink_ops:
                 continue
             msg = Message(
                 kind=Kind.MARKER,
@@ -346,8 +385,8 @@ class Simulation:
                 payload_bytes=0,
                 proto_bytes=MARKER_BYTES,
                 send_ts=self.now,
+                meta={"round": round_id},
             )
-            msg.meta["round"] = round_id
             self.telemetry.n_marker_msgs += 1
             self.telemetry.marker_bytes += MARKER_BYTES
             box.append(msg)
@@ -517,23 +556,41 @@ class Simulation:
 
         pops = 0
         heap = self.heap
+        heappop, heappush = heapq.heappop, heapq.heappush
+        sink_ops = self._sink_ops
+        latency = self.cost.channel_latency
         while heap:
             pops += 1
             if pops > max_events:
                 raise RuntimeError(f"simulation exceeded {max_events} events")
-            t, _, kind, epoch, data = heapq.heappop(heap)
+            t, _, kind, epoch, data = heappop(heap)
             self.now = t
-            if epoch not in (-1, self.epoch):
+            if epoch != self.epoch and epoch != -1:
                 continue  # stale (pre-failure) event
-            if kind == "arrive":
+            if kind == "src":
+                src, off = data
+                inst, ch, part, base, floor = src
+                nxt = off + 1
+                if nxt < len(part):
+                    t_next = max(part[nxt].ingest_ts, floor)
+                    if t_next < t:
+                        raise ValueError(
+                            f"partition {inst[1]} of source {inst[0]!r} is not in "
+                            f"ingest-time order at offset {nxt}"
+                        )
+                    heappush(heap, (t_next, base + nxt, "src", epoch, (src, nxt)))
+                self._enqueue(t, Message(Kind.DATA, ch, off, part[off], 0))
+            elif kind == "arrive":
                 if not self.failed:
                     self._enqueue(t, data)
             elif kind == "proc":
                 w = data
                 for m in self.current[w] or ():
-                    target = "sink" if self.graph.ops[m.channel[2]].is_sink else "arrive"
-                    exempt = target == "sink"
-                    self._push(t + self.cost.channel_latency, target, m, epoch_exempt=exempt)
+                    self._counter += 1
+                    if m.channel[2] in sink_ops:
+                        heappush(heap, (t + latency, self._counter, "sink", -1, m))
+                    else:
+                        heappush(heap, (t + latency, self._counter, "arrive", self.epoch, m))
                 self.current[w] = None
                 self._dispatch(w, t)
             elif kind == "sink":

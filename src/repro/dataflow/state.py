@@ -13,10 +13,14 @@ from __future__ import annotations
 
 import os
 import pickle
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .messages import Channel, InstanceId
+
+_seq = itemgetter(0)
 
 
 @dataclass
@@ -97,21 +101,30 @@ class MessageLog:
     rollback to a recovery line, the messages in the interval
     ``(receiver_ckpt.last_recv, sender_ckpt.last_sent]`` per channel are
     the in-flight messages of Def. 5 and are replayed from here.
+
+    A channel's log is in increasing seq order until a rollback makes its
+    sender re-send sequence numbers it had already logged; ranges of a
+    channel still in order are found by bisection, the others by a scan.
     """
 
     def __init__(self):
         self._log: Dict[Channel, List[Tuple[int, Any]]] = {}
+        #: channels whose log went back in seq (re-sends after a rollback)
+        self._unordered: Set[Channel] = set()
 
     def append(self, channel: Channel, seq: int, record: Any) -> None:
-        self._log.setdefault(channel, []).append((seq, record))
+        log = self._log.setdefault(channel, [])
+        if log and seq <= log[-1][0]:
+            self._unordered.add(channel)
+        log.append((seq, record))
 
     def replay_range(self, channel: Channel, after_seq: int, upto_seq: int) -> List[Tuple[int, Any]]:
         """Logged (seq, record) with after_seq < seq <= upto_seq, in order."""
-        return [
-            (s, r)
-            for (s, r) in self._log.get(channel, [])
-            if after_seq < s <= upto_seq
-        ]
+        log = self._log.get(channel, [])
+        if channel in self._unordered:
+            return [(s, r) for (s, r) in log if after_seq < s <= upto_seq]
+        lo = bisect_right(log, after_seq, key=_seq)
+        return log[lo:bisect_right(log, upto_seq, lo=lo, key=_seq)]
 
     def total_logged(self) -> int:
         return sum(len(v) for v in self._log.values())

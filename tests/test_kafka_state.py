@@ -3,6 +3,8 @@ checkpoint / message-log stores (Minio substitute)."""
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataflow.kafka_sim import ReplayableLog, SourceCursor
 from repro.dataflow.messages import Record
@@ -143,3 +145,27 @@ class TestMessageLog:
         ml.append(("a", 0, "c", 0), 1, "y")
         assert ml.total_logged() == 2
         assert len(ml.channels()) == 2
+
+
+#: a channel's sends: runs of consecutive seqs (start, length); a run that
+#: starts below the last logged seq is the re-send after a rollback
+_runs = st.lists(st.tuples(st.integers(0, 20), st.integers(0, 12)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_runs, min_size=1, max_size=3), st.integers(-1, 35), st.integers(-1, 35))
+def test_replay_range_matches_linear_filter(channels, after, upto):
+    ml = MessageLog()
+    logged = {}
+    for c, runs in enumerate(channels):
+        ch = ("a", 0, "b", c)
+        sent = logged.setdefault(ch, [])
+        for start, n in runs:
+            for seq in range(start + 1, start + n + 1):
+                rec = f"{c}:{len(sent)}"  # distinct per append, also for a re-sent seq
+                ml.append(ch, seq, rec)
+                sent.append((seq, rec))
+    for c in range(len(channels) + 1):  # the last channel has no log
+        ch = ("a", 0, "b", c)
+        expected = [(s, r) for s, r in logged.get(ch, []) if after < s <= upto]
+        assert ml.replay_range(ch, after, upto) == expected

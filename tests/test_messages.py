@@ -78,12 +78,10 @@ class TestMessage:
             proto_bytes=proto,
         )
 
-    def test_total_bytes(self):
-        assert self._msg(proto=10).total_bytes == 32
-
-    def test_src_dst(self):
+    def test_slotted_and_meta_unset_on_data(self):
         m = self._msg()
-        assert m.src == ("a", 0) and m.dst == ("b", 1)
+        assert not hasattr(m, "__dict__")
+        assert m.meta is None and m.piggyback is None
 
     def test_marker_and_meta_sizes_positive(self):
         assert MARKER_BYTES > 0 and CKPT_META_BYTES > 0

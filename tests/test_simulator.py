@@ -3,10 +3,12 @@ import pytest
 
 from helpers import run_query
 from repro.dataflow.costs import SimCost
+from repro.dataflow.kafka_sim import ReplayableLog
+from repro.dataflow.messages import Record
 from repro.dataflow.simulator import Simulation
 from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
-from repro.protocols import NoneProtocol
+from repro.protocols import CoordinatedProtocol, NoneProtocol
 
 
 def tiny(qname="q1", rate=200.0, duration=4.0, w=2, seed=0, **kw):
@@ -129,3 +131,59 @@ class TestByteAccounting:
         assert set(cf.columns) >= {"op", "instance", "index", "ts", "kind", "duration"}
         lf = res.telemetry.latency_frame()
         assert list(lf.columns) == ["sink_ts", "ingest_ts"]
+
+
+def _bids(times):
+    return {"bids": ReplayableLog.from_records("bids", [
+        Record(uid=f"b{i}", key=i, value={"auction": 1, "bidder": i, "price": 10.0},
+               ingest_ts=ts, kind="bid")
+        for i, ts in enumerate(times)
+    ], 1)}
+
+
+class TestSourceScheduling:
+    def test_record_at_round_time_is_served_before_the_trigger(self):
+        # the record at 5.0 ties with the first COOR round's timer; sources
+        # are scheduled before the protocol starts, so the record pops first,
+        # reaches the source before the round's trigger and is covered by
+        # the round-1 source checkpoint
+        sim = Simulation(QUERIES["q1"](), 1, CoordinatedProtocol(round_interval=5.0),
+                         _bids([1.0, 2.0, 5.0, 6.0]))
+        sim.run(8.0)
+        assert sim.protocol.round_start[1] == 5.0
+        src = ("src_bids", 0)
+        cp = sim.store.get(src, sim.protocol.round_members[1][src])
+        assert cp.meta.source_offset == 3
+
+    def test_heap_stays_bounded_before_and_after_resume(self):
+        # COOR replays nothing, so after resume the heap holds source
+        # cursors, in-flight messages and timers only
+        topics = topics_for_query("q1", rate=400.0, duration=20.0, n_workers=2, seed=0)
+        n_records = sum(log.total_events() for log in topics.values())
+        sim = Simulation(QUERIES["q1"](), 2, CoordinatedProtocol(round_interval=2.0), topics)
+        peaks = {"before": [], "after": []}
+
+        def sample(t):
+            phase = "after" if "t_resume" in sim.telemetry.recovery else "before"
+            peaks[phase].append(len(sim.heap))
+            if t < sim.horizon:
+                sim.call_at(t + 0.1, sample)
+
+        resume = sim.protocol.on_resume
+
+        def on_resume(t):
+            resume(t)
+            sample(t)
+
+        sim.protocol.on_resume = on_resume
+        sim.call_at(0.0, sample)
+        res = sim.run(20.0, fail_at=6.0)
+        assert len(res.sink_values()) == n_records
+        for phase, sizes in peaks.items():
+            assert len(sizes) > 20, phase
+            assert max(sizes) < 0.01 * n_records, (phase, max(sizes))
+
+    def test_out_of_order_partition_is_rejected(self):
+        sim = Simulation(QUERIES["q1"](), 1, NoneProtocol(), _bids([1.0, 3.0, 2.0]))
+        with pytest.raises(ValueError, match="ingest-time order"):
+            sim.run(4.0)
