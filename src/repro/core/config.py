@@ -10,7 +10,7 @@ publish its intervals and §III-B explicitly allows per-operator intervals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Dict, Optional
 
 from repro.dataflow.costs import SimCost
@@ -22,6 +22,7 @@ from repro.protocols import (
     CICProtocol,
     CoordinatedProtocol,
     NoneProtocol,
+    Protocol,
     UncoordinatedProtocol,
 )
 
@@ -70,17 +71,18 @@ class ExperimentConfig:
         return cls(**d)
 
 
-def make_protocol(cfg: ExperimentConfig):
-    interval = cfg.unc_interval or UNC_INTERVALS.get(cfg.query, 4.0)
-    if cfg.protocol == "none":
+def make_protocol(name: str, interval: float, round_interval: float) -> Protocol:
+    """The protocol called ``name``: UNC/CIC checkpoint every ``interval``
+    seconds, COOR starts a round ``round_interval`` after the last one."""
+    if name == "none":
         return NoneProtocol()
-    if cfg.protocol == "COOR":
-        return CoordinatedProtocol(round_interval=cfg.coor_interval)
-    if cfg.protocol == "UNC":
+    if name == "COOR":
+        return CoordinatedProtocol(round_interval=round_interval)
+    if name == "UNC":
         return UncoordinatedProtocol(interval=interval)
-    if cfg.protocol == "CIC":
+    if name == "CIC":
         return CICProtocol(interval=interval)
-    raise ValueError(f"unknown protocol {cfg.protocol!r}")
+    raise ValueError(f"unknown protocol {name!r}")
 
 
 def build(cfg: ExperimentConfig, cost: Optional[SimCost] = None) -> Simulation:
@@ -106,6 +108,9 @@ def build(cfg: ExperimentConfig, cost: Optional[SimCost] = None) -> Simulation:
             hot_ratio=cfg.hot_ratio,
             n_hot=cfg.n_hot,
         )
-    return Simulation(
-        graph, cfg.workers, make_protocol(cfg), topics, cost=cost, seed=cfg.seed
+    protocol = make_protocol(
+        cfg.protocol,
+        cfg.unc_interval or UNC_INTERVALS.get(cfg.query, 4.0),
+        cfg.coor_interval,
     )
+    return Simulation(graph, cfg.workers, protocol, topics, cost=cost, seed=cfg.seed)

@@ -13,8 +13,8 @@ parallelism) maximum sustainable throughput, the paper's operating point.
 from __future__ import annotations
 
 import json
-import math
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, get_type_hints
 
 import numpy as np
 import pandas as pd
@@ -45,6 +45,43 @@ def resolve_rate(cfg: ExperimentConfig) -> ExperimentConfig:
     d = cfg.to_dict()
     d["rate"] = frac * mst
     return ExperimentConfig.from_dict(d)
+
+
+@dataclass
+class MetricsRow:
+    """One run's metrics (paper §V), in column order; the Spark sweep
+    schema and ``METRIC_COLUMNS`` are derived from these annotations."""
+
+    query: str
+    protocol: str
+    workers: int
+    rate: float
+    hot_ratio: float
+    duration: float
+    fail_at: float  #: NaN for a failure-free run
+    mst: float
+    total_bytes: int
+    data_bytes: int
+    piggyback_bytes: int
+    marker_bytes: int
+    proto_msg_bytes: int
+    n_data_msgs: int
+    ckpt_total: int
+    ckpt_forced: int
+    avg_ckpt_time: float
+    invalid: int
+    restart_time: float
+    n_replay: int
+    n_sinked: int
+    n_dup_sink: int
+    n_dedup_drops: int
+    n_source_emitted: int
+    throughput: float
+    drain_duration: float
+    p50_pre: float
+    p99_pre: float
+    p50_post: float
+    recovery_time: float
 
 
 def _percentile(values: List[float], q: float) -> float:
@@ -81,7 +118,8 @@ def _latency_stats(cfg: ExperimentConfig, res: SimResult) -> Dict[str, float]:
 
 
 def metrics_row(cfg: ExperimentConfig, res: SimResult, mst: float) -> Dict:
-    """Flatten one run into the metrics the tables need."""
+    """Flatten one run into the metrics the tables need: a plain dict of
+    the ``MetricsRow`` fields, in column order."""
     tel = res.telemetry
     cf = tel.checkpoints_frame()
     rf = tel.rounds_frame()
@@ -102,7 +140,7 @@ def metrics_row(cfg: ExperimentConfig, res: SimResult, mst: float) -> Dict:
         ckpt_total = int(len(cf))
         avg_ckpt = float(cf_steady["duration"].mean()) if len(cf_steady) else float("nan")
     rec = tel.recovery
-    row = dict(
+    row = MetricsRow(
         query=cfg.query,
         protocol=cfg.protocol,
         workers=cfg.workers,
@@ -129,9 +167,9 @@ def metrics_row(cfg: ExperimentConfig, res: SimResult, mst: float) -> Dict:
         n_source_emitted=int(tel.n_source_emitted),
         throughput=float(tel.n_sinked / cfg.duration),
         drain_duration=float(res.duration),
+        **_latency_stats(cfg, res),
     )
-    row.update(_latency_stats(cfg, res))
-    return row
+    return vars(row)
 
 
 def run_config(cfg: ExperimentConfig, keep_result: bool = False):
@@ -149,48 +187,17 @@ def run_config(cfg: ExperimentConfig, keep_result: bool = False):
 # Spark-parallel sweep
 # ---------------------------------------------------------------------------
 
+_SPARK_TYPES = {str: T.StringType(), int: T.LongType(), float: T.DoubleType()}
 _SCHEMA = T.StructType(
-    [
-        T.StructField("query", T.StringType()),
-        T.StructField("protocol", T.StringType()),
-        T.StructField("workers", T.IntegerType()),
-        T.StructField("rate", T.DoubleType()),
-        T.StructField("hot_ratio", T.DoubleType()),
-        T.StructField("duration", T.DoubleType()),
-        T.StructField("fail_at", T.DoubleType()),
-        T.StructField("mst", T.DoubleType()),
-        T.StructField("total_bytes", T.LongType()),
-        T.StructField("data_bytes", T.LongType()),
-        T.StructField("piggyback_bytes", T.LongType()),
-        T.StructField("marker_bytes", T.LongType()),
-        T.StructField("proto_msg_bytes", T.LongType()),
-        T.StructField("n_data_msgs", T.LongType()),
-        T.StructField("ckpt_total", T.LongType()),
-        T.StructField("ckpt_forced", T.LongType()),
-        T.StructField("avg_ckpt_time", T.DoubleType()),
-        T.StructField("invalid", T.LongType()),
-        T.StructField("restart_time", T.DoubleType()),
-        T.StructField("n_replay", T.LongType()),
-        T.StructField("n_sinked", T.LongType()),
-        T.StructField("n_dup_sink", T.LongType()),
-        T.StructField("n_dedup_drops", T.LongType()),
-        T.StructField("n_source_emitted", T.LongType()),
-        T.StructField("throughput", T.DoubleType()),
-        T.StructField("drain_duration", T.DoubleType()),
-        T.StructField("p50_pre", T.DoubleType()),
-        T.StructField("p99_pre", T.DoubleType()),
-        T.StructField("p50_post", T.DoubleType()),
-        T.StructField("recovery_time", T.DoubleType()),
-    ]
+    [T.StructField(name, _SPARK_TYPES[t]) for name, t in get_type_hints(MetricsRow).items()]
 )
-
 METRIC_COLUMNS = [f.name for f in _SCHEMA.fields]
 
 
 def _run_group(pdf: pd.DataFrame) -> pd.DataFrame:
     cfg = ExperimentConfig.from_dict(json.loads(pdf.iloc[0]["cfg"]))
     row, _ = run_config(cfg)
-    return pd.DataFrame([{c: row.get(c) for c in METRIC_COLUMNS}])
+    return pd.DataFrame([row], columns=METRIC_COLUMNS)
 
 
 def sweep(spark: SparkSession, cfgs: Iterable[ExperimentConfig]) -> DataFrame:
@@ -203,8 +210,5 @@ def sweep(spark: SparkSession, cfgs: Iterable[ExperimentConfig]) -> DataFrame:
 
 def sweep_local(cfgs: Iterable[ExperimentConfig]) -> pd.DataFrame:
     """Serial fallback (used by unit tests that avoid Spark overhead)."""
-    rows = []
-    for cfg in cfgs:
-        row, _ = run_config(cfg)
-        rows.append({c: row.get(c) for c in METRIC_COLUMNS})
+    rows = [run_config(cfg)[0] for cfg in cfgs]
     return pd.DataFrame(rows, columns=METRIC_COLUMNS)

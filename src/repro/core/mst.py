@@ -13,9 +13,6 @@ hot_ratio).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
-
-from repro.dataflow.costs import SimCost
 
 from .config import ExperimentConfig, build
 
@@ -58,15 +55,3 @@ def _topics_of(sim):
         logs[cur.log.topic] = cur.log
     return list(logs.values())
 
-
-def rate_at_fraction(
-    query: str,
-    protocol: str,
-    workers: int,
-    fraction: float = 0.8,
-    hot_ratio_for_mst: float = 0.0,
-) -> float:
-    """Input rate at a fraction of MST. For the skew experiments the paper
-    uses fractions of the *non-skewed* MST (§VII-B, Skewed NexMark), hence
-    the separate ``hot_ratio_for_mst`` default of 0."""
-    return fraction * measure_mst(query, protocol, workers, hot_ratio_for_mst)

@@ -17,7 +17,7 @@ Routing on an edge is one of:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from .messages import stable_hash
 
@@ -109,9 +109,6 @@ class LogicalGraph:
     def in_edges(self, op: str) -> List[Edge]:
         return [e for e in self.edges if e.dst == op]
 
-    def upstream_ops(self, op: str) -> List[str]:
-        return sorted({e.src for e in self.in_edges(op)})
-
     def has_cycle(self) -> bool:
         """True if the graph has a directed cycle (e.g. the reachability
         query's feedback edge). COOR refuses such graphs (paper §VII)."""
@@ -130,22 +127,6 @@ class LogicalGraph:
 
         return any(color.get(n, 0) == 0 and visit(n) for n in self.ops)
 
-    def topo_depth(self) -> Dict[str, int]:
-        """Longest-path depth from sources, ignoring loop edges (used for
-        marker-propagation depth accounting and sanity checks)."""
-        depth = {n: 0 for n in self.ops}
-        for _ in range(len(self.ops) + 1):
-            changed = False
-            for e in self.edges:
-                if e.loop:
-                    continue
-                if depth[e.dst] < depth[e.src] + 1:
-                    depth[e.dst] = depth[e.src] + 1
-                    changed = True
-            if not changed:
-                break
-        return depth
-
     def validate(self) -> "LogicalGraph":
         if not self.sources():
             raise ValueError("graph needs at least one source")
@@ -160,12 +141,3 @@ class LogicalGraph:
             raise ValueError("cyclic graph must mark its feedback edge with loop=True")
         return self
 
-    def checkpointing_ops(self, protocol_coordinated: bool) -> List[str]:
-        """Operators that take checkpoints under the given protocol family.
-
-        COOR: every non-sink operator participates in alignment and snapshots.
-        UNC/CIC: sources (offsets) and stateful operators only (§III-B).
-        """
-        if protocol_coordinated:
-            return [n for n, s in self.ops.items() if not s.is_sink]
-        return [n for n, s in self.ops.items() if (s.is_source or s.stateful) and not s.is_sink]

@@ -10,7 +10,7 @@ the offset and the exact same suffix is re-served.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 from .messages import Record
 
@@ -23,35 +23,20 @@ class ReplayableLog:
     partitions: List[List[Record]] = field(default_factory=list)
 
     @classmethod
-    def from_records(cls, topic: str, records: List[Record], n_partitions: int,
-                     partition_by_key: bool = False) -> "ReplayableLog":
-        """Distribute pre-generated records over partitions.
+    def from_records(cls, topic: str, records: List[Record], n_partitions: int) -> "ReplayableLog":
+        """Distribute pre-generated records over partitions round-robin.
 
         Records must already be in ingest-time order; round-robin keeps each
-        partition time-ordered. ``partition_by_key`` routes by key hash
-        instead (used when a source must be key-partitioned).
+        partition time-ordered.
         """
         parts: List[List[Record]] = [[] for _ in range(n_partitions)]
-        if partition_by_key:
-            from .messages import stable_hash
-
-            for r in records:
-                parts[stable_hash(r.key) % n_partitions].append(r)
-        else:
-            for i, r in enumerate(records):
-                parts[i % n_partitions].append(r)
+        for i, r in enumerate(records):
+            parts[i % n_partitions].append(r)
         return cls(topic=topic, partitions=parts)
 
     @property
     def n_partitions(self) -> int:
         return len(self.partitions)
-
-    def read(self, partition: int, offset: int) -> Optional[Record]:
-        part = self.partitions[partition]
-        return part[offset] if offset < len(part) else None
-
-    def size(self, partition: int) -> int:
-        return len(self.partitions[partition])
 
     def total_events(self) -> int:
         return sum(len(p) for p in self.partitions)
@@ -69,9 +54,6 @@ class SourceCursor:
         self.partition = partition
         self.offset = 0
 
-    def peek(self) -> Optional[Record]:
-        return self.log.read(self.partition, self.offset)
-
     def advance(self) -> None:
         self.offset += 1
 
@@ -80,6 +62,3 @@ class SourceCursor:
 
     def restore(self, offset: int) -> None:
         self.offset = offset
-
-    def exhausted(self) -> bool:
-        return self.offset >= self.log.size(self.partition)

@@ -54,16 +54,6 @@ class Record:
     ingest_ts: float
     kind: str = "event"  #: workload-level type tag (e.g. "bid", "person")
 
-    def derive(self, uid_suffix: str, key: Any, value: Any, kind: str) -> "Record":
-        """Create a downstream record that inherits this record's ingest time."""
-        return Record(
-            uid=f"{self.uid}/{uid_suffix}",
-            key=key,
-            value=value,
-            ingest_ts=self.ingest_ts,
-            kind=kind,
-        )
-
 
 @dataclass(slots=True)
 class Message:

@@ -104,7 +104,6 @@ class Simulation:
         topics: Dict[str, ReplayableLog],
         cost: Optional[SimCost] = None,
         seed: int = 0,
-        spill_dir: Optional[str] = None,
     ):
         graph.validate()
         self.graph = graph
@@ -113,7 +112,7 @@ class Simulation:
         self.cost = cost or SimCost()
         self.rng = np.random.default_rng(seed)
         self.telemetry = Telemetry()
-        self.store = CheckpointStore(spill_dir)
+        self.store = CheckpointStore()
         self.msg_log = MessageLog()
 
         # --- instances -----------------------------------------------------
@@ -135,47 +134,33 @@ class Simulation:
                         )
                     self.cursors[(name, w)] = SourceCursor(log, w)
 
-        # --- static channel lists per instance -----------------------------
-        self.out_channels: Dict[InstanceId, List[Channel]] = {i: [] for i in self.instances}
-        self.in_channels: Dict[InstanceId, List[Channel]] = {i: [] for i in self.instances}
-        for e in graph.edges:
-            dst_sink = graph.ops[e.dst].is_sink
-            for i in range(n_workers):
-                if dst_sink:
-                    self.out_channels[(e.src, i)].append((e.src, i, e.dst, 0))
-                elif e.routing == "forward":
-                    ch = (e.src, i, e.dst, i)
-                    self.out_channels[(e.src, i)].append(ch)
-                    self.in_channels[(e.dst, i)].append(ch)
-                else:  # hash / broadcast
-                    for j in range(n_workers):
-                        ch = (e.src, i, e.dst, j)
-                        self.out_channels[(e.src, i)].append(ch)
-                        self.in_channels[(e.dst, j)].append(ch)
-
-        # --- dispatch tables -----------------------------------------------
+        # --- channels and dispatch tables ----------------------------------
         self._sink_ops = frozenset(graph.sinks())
         #: op -> per-record service seconds
         self._service = {
             name: spec.service_time or self.cost.op_service(spec.kind)
             for name, spec in graph.ops.items()
         }
+        #: every channel an instance can send / receive on, in edge order
+        self.out_channels: Dict[InstanceId, List[Channel]] = {i: [] for i in self.instances}
+        self.in_channels: Dict[InstanceId, List[Channel]] = {i: [] for i in self.instances}
         #: inst -> ((edge, fixed target channels or None, channel per
         #: target index), ...) over the op's outgoing edges; targets are
         #: fixed on sink edges and plain forward edges, else ``edge.route``
-        self._routes: Dict[InstanceId, tuple] = {}
-        for op, idx in self.instances:
-            table = []
-            for e in graph.out_edges(op):
+        routes: Dict[InstanceId, list] = {i: [] for i in self.instances}
+        for e in graph.edges:
+            forward = e.routing == "forward" and e.broadcast_pred is None
+            for i in range(n_workers):
                 if e.dst in self._sink_ops:
-                    chans = ((op, idx, e.dst, 0),)
-                    fixed = chans
+                    chans = fixed = ((e.src, i, e.dst, 0),)
                 else:
-                    chans = tuple((op, idx, e.dst, j) for j in range(n_workers))
-                    forward = e.routing == "forward" and e.broadcast_pred is None
-                    fixed = (chans[idx],) if forward else None
-                table.append((e, fixed, chans))
-            self._routes[(op, idx)] = tuple(table)
+                    chans = tuple((e.src, i, e.dst, j) for j in range(n_workers))
+                    fixed = (chans[i],) if forward else None
+                    for ch in fixed or chans:
+                        self.in_channels[(e.dst, ch[3])].append(ch)
+                self.out_channels[(e.src, i)].extend(fixed or chans)
+                routes[(e.src, i)].append((e, fixed, chans))
+        self._routes = {inst: tuple(table) for inst, table in routes.items()}
 
         # --- channel state -------------------------------------------------
         self.sent_seq: Dict[Channel, int] = {}
@@ -475,7 +460,7 @@ class Simulation:
             restore_bytes = max(restore_bytes, self.store.get(inst, idx).meta.state_bytes)
         restart = (
             self.cost.restart_base
-            + self.cost.restore_per_byte * restore_bytes
+            + self.cost.restore_time(restore_bytes)
             + self.cost.replay_prep_per_msg * plan.n_replay
             + self.cost.recovery_line_per_ckpt * plan.ckpts_scanned
         )

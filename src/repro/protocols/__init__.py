@@ -4,13 +4,6 @@ from .cic import CICProtocol
 from .coordinated import CoordinatedProtocol
 from .uncoordinated import UncoordinatedProtocol
 
-PROTOCOLS = {
-    "none": NoneProtocol,
-    "COOR": CoordinatedProtocol,
-    "UNC": UncoordinatedProtocol,
-    "CIC": CICProtocol,
-}
-
 __all__ = [
     "Protocol",
     "NoneProtocol",
@@ -19,5 +12,4 @@ __all__ = [
     "CICProtocol",
     "RecoveryPlan",
     "UnsupportedTopologyError",
-    "PROTOCOLS",
 ]

@@ -29,7 +29,7 @@ and N = K*W instances — the streaming adaptation discussed in DESIGN.md.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.dataflow.messages import InstanceId, Kind, Message
 
@@ -66,8 +66,8 @@ class CICProtocol(UncoordinatedProtocol):
         "forced_checkpoints": True,
     }
 
-    def __init__(self, interval: float = 4.0, intervals=None, jitter: float = 0.05):
-        super().__init__(interval=interval, intervals=intervals, jitter=jitter)
+    def __init__(self, interval: float = 4.0):
+        super().__init__(interval=interval)
         self.states: Dict[InstanceId, CICState] = {}
         self.inst_index: Dict[InstanceId, int] = {}
         self.n_instances = 0

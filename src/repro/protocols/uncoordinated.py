@@ -19,20 +19,21 @@ so the recovery line is well defined on every channel.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.dataflow.messages import CKPT_META_BYTES, InstanceId, Kind, Message
 
 from .base import Protocol, RecoveryPlan
 from .recovery import find_recovery_line
 
+#: relative spread of each instance's checkpoint period around ``interval``
+JITTER = 0.05
+
 
 class UncoordinatedProtocol(Protocol):
     """UNC: independent checkpoints + message logging + rollback propagation."""
 
     name = "UNC"
-    coordinated = False
-    supports_cycles = True
     features = {
         "blocking_markers": False,
         "inflight_logging": True,
@@ -44,15 +45,9 @@ class UncoordinatedProtocol(Protocol):
         "forced_checkpoints": False,
     }
 
-    def __init__(self, interval: float = 4.0, intervals: Optional[Dict[str, float]] = None,
-                 jitter: float = 0.05):
-        """``interval`` is the default checkpoint period; ``intervals`` may
-        override it per logical operator (§III-B: "different operators can
-        have different checkpoint intervals")."""
+    def __init__(self, interval: float = 4.0):
         super().__init__()
         self.interval = interval
-        self.intervals = intervals or {}
-        self.jitter = jitter
         self._period: Dict[InstanceId, float] = {}
 
     # -- timers ------------------------------------------------------------
@@ -62,8 +57,7 @@ class UncoordinatedProtocol(Protocol):
         for inst in sim.instances:
             if sim.graph.ops[inst[0]].is_sink:
                 continue
-            base = self.intervals.get(inst[0], self.interval)
-            self._period[inst] = base * (1.0 + self.jitter * (2 * rng.random() - 1))
+            self._period[inst] = self.interval * (1.0 + JITTER * (2 * rng.random() - 1))
 
     def on_start(self) -> None:
         rng = self.sim.rng

@@ -7,36 +7,22 @@ fast. The Spark session fixture comes from the repo-root conftest.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
-import pytest
-
+from repro.core.config import make_protocol
 from repro.dataflow.simulator import Simulation, SimResult
 from repro.nexmark.cyclic import cyclic_events, reachability_graph
 from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
 from repro.dataflow.kafka_sim import ReplayableLog
-from repro.protocols import (
-    CICProtocol,
-    CoordinatedProtocol,
-    NoneProtocol,
-    UncoordinatedProtocol,
-)
 
 #: small, fast defaults for correctness tests
 W = 4
 RATE = 400.0
 DURATION = 10.0
 FAIL_AT = 6.0
-
-
-def make_protocol(name: str, interval: float = 2.0):
-    return {
-        "none": lambda: NoneProtocol(),
-        "COOR": lambda: CoordinatedProtocol(round_interval=interval),
-        "UNC": lambda: UncoordinatedProtocol(interval=interval),
-        "CIC": lambda: CICProtocol(interval=interval),
-    }[name]()
+#: checkpoint interval and COOR round interval of every cached run
+INTERVAL = 2.0
 
 
 @lru_cache(maxsize=64)
@@ -51,7 +37,8 @@ def run_query(
 ) -> SimResult:
     """Run (and cache) a small NexMark-query simulation."""
     topics = topics_for_query(query, rate=rate, duration=duration, n_workers=w, seed=seed)
-    sim = Simulation(QUERIES[query](), w, make_protocol(protocol), topics, seed=0)
+    proto = make_protocol(protocol, INTERVAL, INTERVAL)
+    sim = Simulation(QUERIES[query](), w, proto, topics, seed=0)
     return sim.run(duration, fail_at=fail_at)
 
 
@@ -77,5 +64,6 @@ def run_cyclic(
         "links": ReplayableLog.from_records("links", list(links), w),
         "sources": ReplayableLog.from_records("sources", list(sources), w),
     }
-    sim = Simulation(reachability_graph(), w, make_protocol(protocol), topics, seed=0)
+    proto = make_protocol(protocol, INTERVAL, INTERVAL)
+    sim = Simulation(reachability_graph(), w, proto, topics, seed=0)
     return sim.run(duration, fail_at=fail_at)

@@ -1,10 +1,13 @@
 """Unit tests for logical dataflow graphs, routing and validation."""
 import pytest
 
+from repro.core.config import make_protocol
 from repro.dataflow.graph import Edge, LogicalGraph, OperatorSpec
 from repro.dataflow.messages import Record, stable_hash
 from repro.dataflow.operators import PassThrough
+from repro.dataflow.simulator import Simulation
 from repro.nexmark.cyclic import reachability_graph
+from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
 
 
@@ -82,14 +85,6 @@ class TestCycles:
     def test_reachability_cyclic(self):
         assert reachability_graph().has_cycle()
 
-    def test_topo_depth_chain(self):
-        d = chain().topo_depth()
-        assert d["src"] == 0 and d["map"] == 1 and d["sink"] == 2
-
-    def test_topo_depth_ignores_loop_edge(self):
-        d = reachability_graph().topo_depth()
-        assert d["cjoin"] < d["select"] < d["project"]
-
 
 class TestRouting:
     def test_forward_routes_to_same_index(self):
@@ -119,20 +114,25 @@ class TestRouting:
         assert len(e.route(_rec(value={"op": "source"}, key=1), 0, 3)) == 1
 
 
+def counted_ops(qname: str, protocol: str) -> set:
+    """Operators whose checkpoints count in the Table III totals."""
+    topics = topics_for_query(qname, rate=10, duration=1, n_workers=2)
+    sim = Simulation(QUERIES[qname](), 2, make_protocol(protocol, 2.0, 2.0), topics)
+    return {op for op, w in sim.instances if sim.protocol.counts_in_totals((op, w))}
+
+
 class TestCheckpointingOps:
     def test_coordinated_includes_stateless(self):
-        g = QUERIES["q1"]()
-        assert set(g.checkpointing_ops(True)) == {"src_bids", "map"}
+        assert counted_ops("q1", "COOR") == {"src_bids", "map"}
 
     def test_uncoordinated_excludes_stateless_nonsource(self):
-        g = QUERIES["q1"]()
-        assert set(g.checkpointing_ops(False)) == {"src_bids"}
+        assert counted_ops("q1", "UNC") == {"src_bids"}
 
     def test_uncoordinated_includes_stateful(self):
-        g = QUERIES["q3"]()
-        assert "join" in g.checkpointing_ops(False)
-        assert "filter_p" not in g.checkpointing_ops(False)
+        ops = counted_ops("q3", "UNC")
+        assert "join" in ops
+        assert "filter_p" not in ops
 
     def test_sink_never_checkpoints(self):
-        for coord in (True, False):
-            assert "sink" not in QUERIES["q12"]().checkpointing_ops(coord)
+        for protocol in ("COOR", "UNC", "CIC"):
+            assert "sink" not in counted_ops("q12", protocol)

@@ -1,13 +1,14 @@
 """Tests for the experiment harness and the Spark-parallel sweep."""
 import json
-import math
+from typing import get_type_hints
 
+import pandas as pd
 import pytest
 
 from repro.core.config import ExperimentConfig, UNC_INTERVALS, build, make_protocol
 from repro.core.harness import (
     METRIC_COLUMNS,
-    metrics_row,
+    MetricsRow,
     resolve_rate,
     run_config,
     sweep,
@@ -40,17 +41,21 @@ class TestConfig:
         ],
     )
     def test_make_protocol(self, name, cls):
-        cfg = ExperimentConfig(query="q1", protocol=name, workers=2, rate=10.0)
-        assert type(make_protocol(cfg)) is cls
+        assert type(make_protocol(name, 2.0, 5.0)) is cls
 
     def test_unknown_protocol_rejected(self):
-        cfg = ExperimentConfig(query="q1", protocol="XYZ", workers=2, rate=10.0)
         with pytest.raises(ValueError, match="unknown protocol"):
-            make_protocol(cfg)
+            make_protocol("XYZ", 2.0, 5.0)
 
     def test_per_query_intervals_used(self):
-        cfg = ExperimentConfig(query="q3", protocol="UNC", workers=2, rate=10.0)
-        assert make_protocol(cfg).interval == UNC_INTERVALS["q3"]
+        cfg = ExperimentConfig(query="q3", protocol="UNC", workers=2, rate=10.0,
+                               duration=1.0)
+        assert build(cfg).protocol.interval == UNC_INTERVALS["q3"]
+
+    def test_coor_round_interval_used(self):
+        cfg = ExperimentConfig(query="q3", protocol="COOR", workers=2, rate=10.0,
+                               duration=1.0, coor_interval=3.5)
+        assert build(cfg).protocol.round_interval == 3.5
 
     def test_build_cyclic(self):
         cfg = ExperimentConfig(query="cyclic", protocol="UNC", workers=2, rate=50.0,
@@ -79,8 +84,13 @@ class TestMetricsRow:
         r, _ = run_config(cfg)
         return r
 
-    def test_all_columns_present(self, row):
-        assert set(METRIC_COLUMNS) <= set(row.keys())
+    def test_columns_in_schema_order(self, row):
+        assert list(row) == METRIC_COLUMNS
+
+    def test_value_types_match_schema(self, row):
+        types = get_type_hints(MetricsRow)
+        for col, value in row.items():
+            assert type(value) is types[col], col
 
     def test_byte_split_consistent(self, row):
         assert row["total_bytes"] == (
@@ -115,7 +125,10 @@ class TestSweep:
         assert list(pdf.columns) == METRIC_COLUMNS and len(pdf) == 2
 
     def test_sweep_spark_matches_local(self, spark):
-        spark_pdf = sweep(spark, self.CFGS).toPandas().sort_values("protocol")
-        local_pdf = sweep_local(self.CFGS).sort_values("protocol")
-        for col in ["total_bytes", "ckpt_total", "invalid", "n_sinked"]:
-            assert list(spark_pdf[col]) == list(local_pdf[col]), col
+        spark_pdf = sweep(spark, self.CFGS).toPandas()
+        local_pdf = sweep_local(self.CFGS)
+        spark_pdf = spark_pdf.sort_values("protocol").reset_index(drop=True)
+        local_pdf = local_pdf.sort_values("protocol").reset_index(drop=True)
+        assert list(spark_pdf.columns) == METRIC_COLUMNS
+        # NaN-aware, and dtypes must agree too
+        pd.testing.assert_frame_equal(spark_pdf, local_pdf, check_exact=True)

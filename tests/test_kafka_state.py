@@ -1,19 +1,21 @@
 """Unit tests for the replayable log (Kafka substitute) and the durable
 checkpoint / message-log stores (Minio substitute)."""
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import make_protocol
 from repro.dataflow.kafka_sim import ReplayableLog, SourceCursor
 from repro.dataflow.messages import Record
+from repro.dataflow.simulator import Simulation
 from repro.dataflow.state import (
     CheckpointMeta,
     CheckpointStore,
     MessageLog,
     StoredCheckpoint,
 )
+from repro.nexmark.generator import topics_for_query
+from repro.nexmark.queries import QUERIES
 
 
 def recs(n):
@@ -26,26 +28,14 @@ def recs(n):
 class TestReplayableLog:
     def test_round_robin_partitioning(self):
         log = ReplayableLog.from_records("t", recs(10), 3)
-        assert [log.size(p) for p in range(3)] == [4, 3, 3]
+        assert [len(p) for p in log.partitions] == [4, 3, 3]
+        assert [r.uid for r in log.partitions[1]] == ["r1", "r4", "r7"]
 
     def test_partitions_time_ordered(self):
         log = ReplayableLog.from_records("t", recs(10), 3)
-        for p in range(3):
-            ts = [log.read(p, i).ingest_ts for i in range(log.size(p))]
+        for part in log.partitions:
+            ts = [r.ingest_ts for r in part]
             assert ts == sorted(ts)
-
-    def test_key_partitioning_groups_keys(self):
-        rs = recs(20)
-        log = ReplayableLog.from_records("t", rs, 4, partition_by_key=True)
-        for p in range(4):
-            for i in range(log.size(p)):
-                r = log.read(p, i)
-                from repro.dataflow.messages import stable_hash
-                assert stable_hash(r.key) % 4 == p
-
-    def test_read_past_end_is_none(self):
-        log = ReplayableLog.from_records("t", recs(2), 1)
-        assert log.read(0, 99) is None
 
     def test_total_events(self):
         assert ReplayableLog.from_records("t", recs(7), 2).total_events() == 7
@@ -55,29 +45,37 @@ class TestSourceCursor:
     def test_replay_same_suffix_after_restore(self):
         log = ReplayableLog.from_records("t", recs(6), 1)
         cur = SourceCursor(log, 0)
-        seen1 = []
+        part = log.partitions[cur.partition]
         for _ in range(3):
-            seen1.append(cur.peek().uid)
             cur.advance()
         snap = cur.snapshot()
+        assert snap == 3
 
         def drain3():
             out = []
             for _ in range(3):
-                out.append(cur.peek().uid)
+                out.append(part[cur.offset].uid)
                 cur.advance()
             return out
 
         rest = drain3()
+        assert cur.offset == len(part)
         cur.restore(snap)
-        assert drain3() == rest
+        assert cur.offset == 3
+        assert drain3() == rest == ["r3", "r4", "r5"]
 
     def test_exhausted(self):
-        log = ReplayableLog.from_records("t", recs(1), 1)
-        cur = SourceCursor(log, 0)
-        assert not cur.exhausted()
-        cur.advance()
-        assert cur.exhausted()
+        # a run serves every cursor to the end of its partition, the
+        # rewound suffix again after the failure, and nothing past it
+        topics = topics_for_query("q1", rate=50, duration=4, n_workers=2, seed=1)
+        sim = Simulation(QUERIES["q1"](), 2, make_protocol("UNC", 1.0, 1.0), topics)
+        sim.run(4.0, fail_at=2.5)
+        assert sim.cursors
+        for cur in sim.cursors.values():
+            assert cur.offset == len(cur.log.partitions[cur.partition]) > 0
+        assert sim.telemetry.recovery["n_replay"] > 0
+        total = sum(log.total_events() for log in topics.values())
+        assert sim.telemetry.n_source_emitted > total
 
 
 def meta(inst, index, ts=0.0, last_sent=None, last_recv=None):
@@ -99,26 +97,18 @@ class TestCheckpointStore:
         with pytest.raises(AssertionError):
             st.put(StoredCheckpoint(meta(("a", 0), 5), None))
 
-    def test_latest(self):
+    def test_checkpoints_in_index_order(self):
         st = CheckpointStore()
         st.put(StoredCheckpoint(meta(("a", 0), 0), None))
         st.put(StoredCheckpoint(meta(("a", 0), 1), None))
-        assert st.latest(("a", 0)).meta.index == 1
-        assert st.latest(("b", 0)) is None
+        assert [cp.meta.index for cp in st.checkpoints(("a", 0))] == [0, 1]
+        assert st.checkpoints(("b", 0)) == []
 
     def test_counts(self):
         st = CheckpointStore()
         st.put(StoredCheckpoint(meta(("a", 0), 0), None))
         st.put(StoredCheckpoint(meta(("b", 1), 0), None))
         assert st.total_count() == 2
-        assert st.counts_by_kind() == {"local": 2}
-        assert st.instances() == [("a", 0), ("b", 1)]
-
-    def test_spill_to_disk(self, tmp_path):
-        st = CheckpointStore(spill_dir=str(tmp_path))
-        st.put(StoredCheckpoint(meta(("op", 2), 0), state={"k": 3}))
-        files = os.listdir(tmp_path)
-        assert files == ["op-2-0.pkl"]
 
 
 class TestMessageLog:

@@ -33,21 +33,6 @@ class TestStableHash:
         assert stable_hash(1) != stable_hash("1")
 
 
-class TestRecord:
-    def test_derive_inherits_ingest_ts(self):
-        r = _rec(ts=3.5)
-        d = r.derive("m", key=2, value={"x": 1}, kind="bid_eur")
-        assert d.ingest_ts == 3.5
-
-    def test_derive_uid_suffix(self):
-        d = _rec(uid="bid7").derive("m", 1, {}, "bid_eur")
-        assert d.uid == "bid7/m"
-
-    def test_derive_sets_kind_and_key(self):
-        d = _rec().derive("m", key=9, value={"v": 2}, kind="q12_out")
-        assert d.kind == "q12_out" and d.key == 9 and d.value == {"v": 2}
-
-
 class TestPayloadBytes:
     def test_known_kind(self):
         assert payload_bytes_for(_rec("bid")) == PAYLOAD_BYTES["bid"]

@@ -1,10 +1,9 @@
-"""Sanity tests for the provided oracle and synth_data modules (and that
-they work against this environment's Spark/DuckDB versions)."""
+"""Sanity tests for the DuckDB oracle (and that it works against this
+environment's Spark/DuckDB versions)."""
 import duckdb
 import pandas as pd
 import pytest
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
@@ -28,19 +27,3 @@ class TestOracle:
         with pytest.raises(AssertionError, match="column mismatch"):
             assert_equivalent(df, "SELECT k FROM t", t=pdf)
 
-
-class TestSynthData:
-    def test_lineitem_deterministic(self, spark):
-        a = synth_data.lineitem(spark, sf=0.001, seed=3).toPandas()
-        b = synth_data.lineitem(spark, sf=0.001, seed=3).toPandas()
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_zipf_keys_skewed(self, spark):
-        df = synth_data.zipf_keys(spark, n=5000, n_keys=100, alpha=1.3).toPandas()
-        top = df["k"].value_counts().iloc[0]
-        assert top > 0.15 * len(df)  # hot key dominates
-
-    def test_uniform_keys_flat(self, spark):
-        df = synth_data.uniform_keys(spark, n=5000, n_keys=100).toPandas()
-        top = df["k"].value_counts().iloc[0]
-        assert top < 0.05 * len(df)

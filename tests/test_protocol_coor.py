@@ -1,7 +1,7 @@
 """Tests for the coordinated aligned protocol (paper §III-A)."""
 import pytest
 
-from helpers import make_protocol, run_query
+from helpers import run_query
 from repro.dataflow.simulator import Simulation
 from repro.nexmark.cyclic import cyclic_topics, reachability_graph
 from repro.nexmark.generator import topics_for_query

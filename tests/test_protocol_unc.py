@@ -8,12 +8,9 @@ from repro.nexmark.queries import QUERIES
 from repro.protocols import UncoordinatedProtocol
 
 
-def unc_run(qname="q12", fail_at=None, w=4, interval=2.0, intervals=None):
+def unc_run(qname="q12", fail_at=None, w=4, interval=2.0):
     topics = topics_for_query(qname, rate=400, duration=10, n_workers=w, seed=1)
-    sim = Simulation(
-        QUERIES[qname](), w, UncoordinatedProtocol(interval, intervals=intervals),
-        topics, seed=0,
-    )
+    sim = Simulation(QUERIES[qname](), w, UncoordinatedProtocol(interval), topics, seed=0)
     return sim, sim.run(10.0, fail_at=fail_at)
 
 
@@ -33,14 +30,6 @@ class TestIndependentCheckpoints:
         ts = sorted(c["ts"] for c in res.telemetry.checkpoints)
         # independent jittered timers: not all at the same instant
         assert len({round(t, 1) for t in ts}) > 3
-
-    def test_per_operator_interval_override(self):
-        sim, res = unc_run("q12", intervals={"src_bids": 1.0, "wincount": 5.0})
-        by_op = {}
-        for c in res.telemetry.checkpoints:
-            by_op.setdefault(c["op"], 0)
-            by_op[c["op"]] += 1
-        assert by_op["src_bids"] > by_op["wincount"]
 
     def test_jitter_is_deterministic(self):
         s1, r1 = unc_run("q12")
