@@ -1,25 +1,10 @@
-"""Shared SparkSession bootstrap for the spark-submit job entrypoints.
+"""Path bootstrap for the job entrypoints: puts ``src`` on ``sys.path``.
 
-Jobs can run either under ``spark-submit jobs/<name>.py`` (a session
-already exists) or as plain ``python jobs/<name>.py`` (we create one with
-the same settings the test fixture uses).
+Jobs run either under ``spark-submit jobs/<name>.py`` (a session already
+exists) or as plain ``python jobs/<name>.py``; both get their session from
+``repro.core.harness.spark_session``.
 """
-from __future__ import annotations
-
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from pyspark.sql import SparkSession
-
-
-def get_spark(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.enabled", "false")
-        .getOrCreate()
-    )

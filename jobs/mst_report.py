@@ -12,7 +12,7 @@ import sys
 
 import pandas as pd
 
-from _session import get_spark  # noqa: F401
+import _session  # noqa: F401  (path bootstrap)
 
 from repro.core.mst import measure_mst
 

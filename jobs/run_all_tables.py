@@ -13,9 +13,10 @@ import time
 
 import pandas as pd
 
-from _session import get_spark
+import _session  # noqa: F401  (path bootstrap)
 
-from repro.core.features import PAPER_TABLE1, feature_matrix, render_table1
+from repro.core.features import matches_paper_table1, render_table1
+from repro.core.harness import spark_session
 from repro.core.mst import measure_mst
 from repro.core.tables import (
     render,
@@ -32,16 +33,11 @@ from repro.core.tables import (
 
 def main() -> None:
     quick = "--quick" in sys.argv
-    spark = get_spark("run-all-tables")
+    spark = spark_session("run-all-tables")
     t0 = time.time()
 
     print(render_table1())
-    ok = all(
-        bool(feature_matrix().loc[n, f]) == v
-        for n, flags in PAPER_TABLE1.items()
-        for f, v in flags.items()
-    )
-    print(f"Table I matches paper: {ok}\n")
+    print(f"Table I matches paper: {matches_paper_table1()}\n")
 
     workers = (10,) if quick else (10, 50)
     cfgs23 = table23_configs(workers=workers)

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import sys
 
-from _session import get_spark
+import _session  # noqa: F401  (path bootstrap)
 
+from repro.core.harness import spark_session
 from repro.core.tables import render, run_metrics, skew_configs, skew_frame
 
 
 def main() -> None:
     quick = "--quick" in sys.argv
-    spark = get_spark("skew-report")
+    spark = spark_session("skew-report")
     cfgs = (
         skew_configs(workers=6, queries=("q12",), hot_ratios=(0.3,), duration=20.0)
         if quick

@@ -4,20 +4,14 @@ Usage: ``spark-submit jobs/table1_features.py`` (or plain python).
 """
 from __future__ import annotations
 
-from _session import get_spark  # noqa: F401  (path bootstrap)
+import _session  # noqa: F401  (path bootstrap)
 
-from repro.core.features import PAPER_TABLE1, feature_matrix, render_table1
+from repro.core.features import matches_paper_table1, render_table1
 
 
 def main() -> None:
     print(render_table1())
-    ours = feature_matrix()
-    ok = all(
-        bool(ours.loc[name, f]) == bool(flags[f])
-        for name, flags in PAPER_TABLE1.items()
-        for f in flags
-    )
-    print(f"\nmatches paper Table I: {ok}")
+    print(f"\nmatches paper Table I: {matches_paper_table1()}")
 
 
 if __name__ == "__main__":

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import sys
 
-from _session import get_spark
+import _session  # noqa: F401  (path bootstrap)
 
+from repro.core.harness import spark_session
 from repro.core.tables import render, run_metrics, table2_frame, table23_configs
 
 
 def main() -> None:
     quick = "--quick" in sys.argv
-    spark = get_spark("table2-overhead")
+    spark = spark_session("table2-overhead")
     cfgs = (
         table23_configs(workers=(10,), duration=30.0)
         if quick

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import sys
 
-from _session import get_spark
+import _session  # noqa: F401  (path bootstrap)
 
+from repro.core.harness import spark_session
 from repro.core.tables import render, run_metrics, table4_configs, table4_frame
 
 
 def main() -> None:
     quick = "--quick" in sys.argv
-    spark = get_spark("table4-cyclic")
+    spark = spark_session("table4-cyclic")
     cfgs = (
         table4_configs(workers=(5,), duration=30.0, fail_at=20.0, n_nodes=20_000)
         if quick

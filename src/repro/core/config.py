@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 from typing import Dict, Optional
 
-from repro.dataflow.costs import SimCost
 from repro.dataflow.simulator import Simulation
 from repro.nexmark.cyclic import cyclic_topics, reachability_graph
 from repro.nexmark.generator import topics_for_query
@@ -56,12 +55,9 @@ class ExperimentConfig:
     duration: float = RUN_DURATION
     fail_at: Optional[float] = FAIL_AT
     hot_ratio: float = 0.0
-    n_hot: int = 1
     seed: int = 7
     coor_interval: float = COOR_INTERVAL
-    unc_interval: Optional[float] = None  #: None -> UNC_INTERVALS[query]
     n_nodes: int = 1_000_000  #: cyclic query node-set size (paper: 1M static nodes)
-    deletions: bool = True  #: cyclic query delete events on/off
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -85,8 +81,9 @@ def make_protocol(name: str, interval: float, round_interval: float) -> Protocol
     raise ValueError(f"unknown protocol {name!r}")
 
 
-def build(cfg: ExperimentConfig, cost: Optional[SimCost] = None) -> Simulation:
-    """Materialise a configured simulation (graph + topics + protocol)."""
+def build(cfg: ExperimentConfig) -> Simulation:
+    """Materialise a configured simulation (graph + topics + protocol).
+    The cyclic query always runs the paper's deletion mix (Table IV)."""
     if cfg.query == "cyclic":
         graph = reachability_graph()
         topics = cyclic_topics(
@@ -95,7 +92,6 @@ def build(cfg: ExperimentConfig, cost: Optional[SimCost] = None) -> Simulation:
             n_workers=cfg.workers,
             seed=cfg.seed,
             n_nodes=cfg.n_nodes,
-            deletions=cfg.deletions,
         )
     else:
         graph = QUERIES[cfg.query]()
@@ -106,11 +102,6 @@ def build(cfg: ExperimentConfig, cost: Optional[SimCost] = None) -> Simulation:
             n_workers=cfg.workers,
             seed=cfg.seed,
             hot_ratio=cfg.hot_ratio,
-            n_hot=cfg.n_hot,
         )
-    protocol = make_protocol(
-        cfg.protocol,
-        cfg.unc_interval or UNC_INTERVALS.get(cfg.query, 4.0),
-        cfg.coor_interval,
-    )
-    return Simulation(graph, cfg.workers, protocol, topics, cost=cost, seed=cfg.seed)
+    protocol = make_protocol(cfg.protocol, UNC_INTERVALS[cfg.query], cfg.coor_interval)
+    return Simulation(graph, cfg.workers, protocol, topics, seed=cfg.seed)

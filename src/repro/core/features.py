@@ -10,17 +10,6 @@ import pandas as pd
 
 from repro.protocols import CICProtocol, CoordinatedProtocol, UncoordinatedProtocol
 
-FEATURE_ORDER = [
-    "blocking_markers",
-    "inflight_logging",
-    "dedup_required",
-    "message_overhead",
-    "independent_checkpoints",
-    "straggler_stalls",
-    "unused_checkpoints",
-    "forced_checkpoints",
-]
-
 FEATURE_LABELS = {
     "blocking_markers": "Blocking (markers)",
     "inflight_logging": "In-flight Logging",
@@ -31,6 +20,7 @@ FEATURE_LABELS = {
     "unused_checkpoints": "Unused Checkpoints",
     "forced_checkpoints": "Forced Checkpoints",
 }
+FEATURE_ORDER = list(FEATURE_LABELS)
 
 #: Paper Table I (● = has the property, — = does not)
 PAPER_TABLE1 = {
@@ -80,6 +70,14 @@ def feature_matrix() -> pd.DataFrame:
         for name, cls in _IMPLS.items()
     }
     return pd.DataFrame.from_dict(rows, orient="index")[FEATURE_ORDER]
+
+
+def matches_paper_table1() -> bool:
+    """Whether :func:`feature_matrix` equals ``PAPER_TABLE1`` flag by flag."""
+    ours = feature_matrix()
+    return all(
+        bool(ours.loc[name, f]) == v for name, flags in PAPER_TABLE1.items() for f, v in flags.items()
+    )
 
 
 def render_table1() -> str:

@@ -13,6 +13,7 @@ parallelism) maximum sustainable throughput, the paper's operating point.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, get_type_hints
 
@@ -186,6 +187,24 @@ def run_config(cfg: ExperimentConfig, keep_result: bool = False):
 # ---------------------------------------------------------------------------
 # Spark-parallel sweep
 # ---------------------------------------------------------------------------
+
+
+def spark_session(app: str = "repro") -> SparkSession:
+    """The SparkSession of the table jobs and the test suite (the active one
+    under ``spark-submit``). Master and driver memory come from the launch
+    (``PYSPARK_SUBMIT_ARGS`` or ``spark-submit``); the settings honoured
+    after launch are set here. Shuffle partitions come from
+    ``SPARK_SHUFFLE_PARTITIONS`` (default 64). Broadcast joins are off so
+    the batch references exercise the shuffle path."""
+    return (
+        SparkSession.builder.appName(app)
+        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.enabled", "false")
+        .getOrCreate()
+    )
+
 
 _SPARK_TYPES = {str: T.StringType(), int: T.LongType(), float: T.DoubleType()}
 _SCHEMA = T.StructType(

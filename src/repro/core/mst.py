@@ -7,8 +7,8 @@ drains it — the drain rate *is* the capacity, and protocol overheads
 (CIC's piggyback serialization, COOR's markers) lower it exactly the way
 the paper's Fig. 7 shows.
 
-Probes are deterministic and cached per (query, protocol, workers,
-hot_ratio).
+Probes are deterministic (unskewed input, seed 2) and cached per
+(query, protocol, workers).
 """
 from __future__ import annotations
 
@@ -21,13 +21,7 @@ PROBE_RATE_PER_WORKER = 400.0  #: comfortably above per-worker capacity
 
 
 @lru_cache(maxsize=256)
-def measure_mst(
-    query: str,
-    protocol: str,
-    workers: int,
-    hot_ratio: float = 0.0,
-    seed: int = 2,
-) -> float:
+def measure_mst(query: str, protocol: str, workers: int) -> float:
     """Estimate MST (events/s) via a saturation probe."""
     cfg = ExperimentConfig(
         query=query,
@@ -36,8 +30,7 @@ def measure_mst(
         rate=PROBE_RATE_PER_WORKER * workers,
         duration=PROBE_DURATION,
         fail_at=None,
-        hot_ratio=hot_ratio,
-        seed=seed,
+        seed=2,
         n_nodes=20_000,
     )
     sim = build(cfg)

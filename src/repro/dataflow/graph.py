@@ -11,8 +11,10 @@ Routing on an edge is one of:
   (chain pipelines, no shuffle; NexMark Q1).
 - ``hash``     — key-hash partitioning across all downstream instances
   (shuffles; joins/aggregations).
-- ``broadcast``— send to every downstream instance (not used by data in the
-  reproduced queries, but markers always broadcast on hash edges).
+
+An edge's ``broadcast_pred`` sends the records it accepts to every
+downstream instance instead. COOR markers need no routing mode: they go
+out on every non-sink channel the simulator lists for the sender.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ class Edge:
 
     src: str
     dst: str
-    routing: str = "hash"  #: "forward" | "hash" | "broadcast"
+    routing: str = "hash"  #: "forward" | "hash"
     key_fn: Optional[Callable[[Any], Any]] = None  #: routing key for "hash"
     loop: bool = False  #: True for the cyclic query's feedback edge
     #: per-record broadcast override (e.g. the cyclic query's del_source
@@ -42,8 +44,6 @@ class Edge:
             return list(range(n_workers))
         if self.routing == "forward":
             return [src_idx]
-        if self.routing == "broadcast":
-            return list(range(n_workers))
         key = self.key_fn(record) if self.key_fn else record.key
         return [stable_hash(key) % n_workers]
 
@@ -63,7 +63,6 @@ class OperatorSpec:
     kind: str  #: "source" | "sink" | operator type tag
     stateful: bool
     factory: Callable[[int, int], Any] = None
-    service_time: Optional[float] = None  #: per-record CPU seconds override
     source_topic: Optional[str] = None  #: kafka_sim topic for sources
 
     @property

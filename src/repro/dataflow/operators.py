@@ -27,7 +27,7 @@ Design rules that make exactly-once verifiable:
 """
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .messages import Record
 
@@ -309,28 +309,6 @@ class WindowCountOp(Operator):
                 for k, uids in km.items()
             )
         )
-
-
-class SinkOp(Operator):
-    """Terminal collector.
-
-    Keeps the *deduplicated* set of results (uid -> (value, first arrival
-    time)) plus a per-record latency log used by the latency analytics.
-    Sinks never checkpoint in any protocol (they hold no query state that
-    upstream recovery cannot regenerate).
-    """
-
-    def __init__(self, idx: int, n_workers: int):
-        super().__init__(idx, n_workers)
-        self.results: Dict[str, Any] = {}
-        self.arrivals: List[Tuple[float, float, str]] = []  # (sink_ts, ingest_ts, uid)
-        self._now = 0.0  # set by the simulator before each process() call
-
-    def process(self, record: Record, from_op: str) -> List[Record]:
-        self.arrivals.append((self._now, record.ingest_ts, record.uid))
-        if record.uid not in self.results:
-            self.results[record.uid] = record.value
-        return []
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,12 @@ fixed by the rules above):
   Per-operator service times and the set of sink operators are
   precomputed too. Protocol and operator hooks are looked up when called,
   so wrappers installed after construction take effect.
+
+Each run fact is kept once: the sink output in ``sinks`` (uid -> value per
+sink, first arrival wins), a checkpoint's metadata in the ``store`` (the
+counted ones also listed, as the same objects, in
+``telemetry.checkpoints``), and one latency sample per first arrival in
+``telemetry.latencies``.
 """
 from __future__ import annotations
 
@@ -67,7 +73,6 @@ from .messages import (
     Record,
     payload_bytes_for,
 )
-from .operators import SinkOp
 from .state import CheckpointMeta, CheckpointStore, MessageLog, StoredCheckpoint
 from .telemetry import Telemetry
 
@@ -76,7 +81,8 @@ _SRC = "__src__"
 
 @dataclass
 class SimResult:
-    """Outcome of one simulation run."""
+    """Outcome of one simulation run. ``sink_results`` is the simulation's
+    own sink dict, not a copy: a simulation runs once."""
 
     telemetry: Telemetry
     sink_results: Dict[str, Dict[str, Any]]  #: sink op -> uid -> value
@@ -102,14 +108,13 @@ class Simulation:
         n_workers: int,
         protocol,
         topics: Dict[str, ReplayableLog],
-        cost: Optional[SimCost] = None,
         seed: int = 0,
     ):
         graph.validate()
         self.graph = graph
         self.W = n_workers
         self.protocol = protocol
-        self.cost = cost or SimCost()
+        self.cost = SimCost()
         self.rng = np.random.default_rng(seed)
         self.telemetry = Telemetry()
         self.store = CheckpointStore()
@@ -117,11 +122,11 @@ class Simulation:
 
         # --- instances -----------------------------------------------------
         self.instances: Dict[InstanceId, Any] = {}
-        self.sinks: Dict[str, SinkOp] = {}
+        #: sink op -> uid -> value, the deduplicated external output
+        self.sinks: Dict[str, Dict[str, Any]] = {name: {} for name in graph.sinks()}
         self.cursors: Dict[InstanceId, SourceCursor] = {}
         for name, spec in graph.ops.items():
             if spec.is_sink:
-                self.sinks[name] = SinkOp(0, 1)
                 continue
             for w in range(n_workers):
                 self.instances[(name, w)] = spec.factory(w, n_workers)
@@ -135,12 +140,8 @@ class Simulation:
                     self.cursors[(name, w)] = SourceCursor(log, w)
 
         # --- channels and dispatch tables ----------------------------------
-        self._sink_ops = frozenset(graph.sinks())
         #: op -> per-record service seconds
-        self._service = {
-            name: spec.service_time or self.cost.op_service(spec.kind)
-            for name, spec in graph.ops.items()
-        }
+        self._service = {name: self.cost.op_service(spec.kind) for name, spec in graph.ops.items()}
         #: every channel an instance can send / receive on, in edge order
         self.out_channels: Dict[InstanceId, List[Channel]] = {i: [] for i in self.instances}
         self.in_channels: Dict[InstanceId, List[Channel]] = {i: [] for i in self.instances}
@@ -151,7 +152,7 @@ class Simulation:
         for e in graph.edges:
             forward = e.routing == "forward" and e.broadcast_pred is None
             for i in range(n_workers):
-                if e.dst in self._sink_ops:
+                if e.dst in self.sinks:
                     chans = fixed = ((e.src, i, e.dst, 0),)
                 else:
                     chans = tuple((e.src, i, e.dst, j) for j in range(n_workers))
@@ -189,7 +190,7 @@ class Simulation:
 
         # implicit initial checkpoints (index 0) for every worker instance
         for inst in self.instances:
-            self._store_checkpoint(inst, kind="initial", round_id=None, count=False, ts=0.0)
+            self._store_checkpoint(inst, kind="initial", round_id=None, ts=0.0)
 
         self.protocol.bind(self)
 
@@ -354,13 +355,13 @@ class Simulation:
     def emit_marker(self, inst: InstanceId, round_id: int) -> None:
         """COOR: broadcast a marker on every non-sink outgoing channel.
 
-        Markers do not consume data sequence numbers; channel-FIFO relative
-        to data holds because arrival times are monotone in send times.
+        Only called while a marker is dispatched, so the markers leave with
+        that dispatch's outbox. Markers do not consume data sequence
+        numbers; channel-FIFO relative to data holds because arrival times
+        are monotone in send times.
         """
-        op, idx = inst
-        box = self._outbox if self._outbox is not None else []
         for ch in self.out_channels[inst]:
-            if ch[2] in self._sink_ops:
+            if ch[2] in self.sinks:
                 continue
             msg = Message(
                 kind=Kind.MARKER,
@@ -373,17 +374,11 @@ class Simulation:
                 meta={"round": round_id},
             )
             self.telemetry.n_marker_msgs += 1
-            self.telemetry.marker_bytes += MARKER_BYTES
-            box.append(msg)
-        if self._outbox is None:
-            # marker emitted outside a dispatch (source round start):
-            # deliver after the marker service time from now
-            for m in box:
-                self._push(self.now + self.cost.channel_latency, "arrive", m)
+            self._outbox.append(msg)
 
     # ----------------------------------------------------------- checkpoints
     def _store_checkpoint(
-        self, inst: InstanceId, kind: str, round_id: Optional[int], count: bool,
+        self, inst: InstanceId, kind: str, round_id: Optional[int],
         ts: float, extra_duration: float = 0.0,
     ) -> CheckpointMeta:
         spec = self.graph.ops[inst[0]]
@@ -403,17 +398,8 @@ class Simulation:
             duration=self.cost.snapshot_time(sb) + extra_duration,
         )
         self.store.put(StoredCheckpoint(meta=meta, state=state))
-        if count and self.protocol.counts_in_totals(inst):
-            self.telemetry.record_checkpoint(
-                op=inst[0],
-                idx=inst[1],
-                index=meta.index,
-                ts=ts,
-                kind=kind,
-                duration=meta.duration,
-                state_bytes=sb,
-                round_id=round_id,
-            )
+        if kind != "initial" and self.protocol.counts_in_totals(inst):
+            self.telemetry.checkpoints.append(meta)
         return meta
 
     def take_checkpoint(
@@ -424,8 +410,7 @@ class Simulation:
         part to the hosting worker, count it in telemetry. ``extra_duration``
         models protocol-specific persistence work (e.g. CIC's vectors)."""
         meta = self._store_checkpoint(
-            inst, kind=kind, round_id=round_id, count=True, ts=self.now,
-            extra_duration=extra_duration,
+            inst, kind=kind, round_id=round_id, ts=self.now, extra_duration=extra_duration,
         )
         w = inst[1]
         if self.current[w] is not None:
@@ -438,7 +423,6 @@ class Simulation:
     def log_proto_message(self, n_bytes: int) -> None:
         """Account a standalone protocol message (e.g. checkpoint metadata
         to the coordinator); these bypass worker CPUs."""
-        self.telemetry.n_proto_msgs += 1
         self.telemetry.proto_msg_bytes += n_bytes
 
     # -------------------------------------------------------------- failures
@@ -483,6 +467,7 @@ class Simulation:
                 self.cursors[inst].restore(cp.meta.source_offset or 0)
             for ch, s in cp.meta.last_sent.items():
                 self.sent_seq[ch] = s
+                self.msg_log.truncate(ch, s)
             for ch, s in cp.meta.last_recv.items():
                 self.recv_seq[ch] = s
         self.failed = False
@@ -506,16 +491,13 @@ class Simulation:
 
     # ------------------------------------------------------------------ sink
     def _sink_arrive(self, t: float, msg: Message) -> None:
-        snk = self.sinks[msg.channel[2]]
+        results = self.sinks[msg.channel[2]]
         rec = msg.record
-        if rec.uid in snk.results:
+        if rec.uid in results:
             self.n_dup_sink += 1
-            snk.arrivals.append((t, rec.ingest_ts, rec.uid))
             return
-        snk._now = t
-        snk.process(rec, msg.channel[0])
+        results[rec.uid] = rec.value
         self.telemetry.latencies.append((t, rec.ingest_ts))
-        self.telemetry.n_sinked += 1
 
     # ------------------------------------------------------------------- run
     def run(
@@ -542,7 +524,7 @@ class Simulation:
         pops = 0
         heap = self.heap
         heappop, heappush = heapq.heappop, heapq.heappush
-        sink_ops = self._sink_ops
+        sinks = self.sinks
         latency = self.cost.channel_latency
         while heap:
             pops += 1
@@ -572,7 +554,7 @@ class Simulation:
                 w = data
                 for m in self.current[w] or ():
                     self._counter += 1
-                    if m.channel[2] in sink_ops:
+                    if m.channel[2] in sinks:
                         heappush(heap, (t + latency, self._counter, "sink", -1, m))
                     else:
                         heappush(heap, (t + latency, self._counter, "arrive", self.epoch, m))
@@ -601,7 +583,7 @@ class Simulation:
         }
         return SimResult(
             telemetry=self.telemetry,
-            sink_results={name: dict(s.results) for name, s in self.sinks.items()},
+            sink_results=self.sinks,
             duration=self.now,
             n_dedup_drops=self.n_dedup_drops,
             n_duplicate_sink_arrivals=self.n_dup_sink,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .messages import Channel, InstanceId
 
@@ -75,27 +75,29 @@ class MessageLog:
     ``(receiver_ckpt.last_recv, sender_ckpt.last_sent]`` per channel are
     the in-flight messages of Def. 5 and are replayed from here.
 
-    A channel's log is in increasing seq order until a rollback makes its
-    sender re-send sequence numbers it had already logged; ranges of a
-    channel still in order are found by bisection, the others by a scan.
+    A channel's log is strictly increasing in seq: when its sender rolls
+    back, the log is truncated to the restored counter before the sender
+    re-sends, so ranges are found by bisection.
     """
 
     def __init__(self):
         self._log: Dict[Channel, List[Tuple[int, Any]]] = {}
-        #: channels whose log went back in seq (re-sends after a rollback)
-        self._unordered: Set[Channel] = set()
 
     def append(self, channel: Channel, seq: int, record: Any) -> None:
         log = self._log.setdefault(channel, [])
         if log and seq <= log[-1][0]:
-            self._unordered.add(channel)
+            raise ValueError(f"seq {seq} on {channel} is not above the logged {log[-1][0]}")
         log.append((seq, record))
+
+    def truncate(self, channel: Channel, seq: int) -> None:
+        """Drop the channel's logged messages above ``seq``."""
+        log = self._log.get(channel)
+        if log:
+            del log[bisect_right(log, seq, key=_seq):]
 
     def replay_range(self, channel: Channel, after_seq: int, upto_seq: int) -> List[Tuple[int, Any]]:
         """Logged (seq, record) with after_seq < seq <= upto_seq, in order."""
         log = self._log.get(channel, [])
-        if channel in self._unordered:
-            return [(s, r) for (s, r) in log if after_seq < s <= upto_seq]
         lo = bisect_right(log, after_seq, key=_seq)
         return log[lo:bisect_right(log, upto_seq, lo=lo, key=_seq)]
 

@@ -2,16 +2,23 @@
 
 One run produces small pandas frames (checkpoints, rounds) plus recovery
 bookkeeping, aggregate byte counters and the sink latency log of
-``(sink_ts, ingest_ts)`` pairs. ``core.harness.metrics_row`` flattens them
-into one metrics row per run; keeping per-message data as counters (not
-rows) bounds memory at 50-worker scale.
+``(sink_ts, ingest_ts)`` pairs, one per first arrival of a sink record.
+``core.harness.metrics_row`` flattens them into one metrics row per run;
+keeping per-message data as counters (not rows) bounds memory at
+50-worker scale. A fact another structure already holds is derived from
+it, not counted again: checkpoints are the store's own metadata objects,
+``n_sinked`` is the latency log's length and ``marker_bytes`` follows
+from the marker count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import pandas as pd
+
+from .messages import MARKER_BYTES
+from .state import CheckpointMeta
 
 
 @dataclass
@@ -21,14 +28,13 @@ class Telemetry:
     # message traffic byte counters, split the way Table II needs them
     data_payload_bytes: int = 0
     piggyback_bytes: int = 0  #: CIC vectors riding on data messages
-    marker_bytes: int = 0  #: COOR markers
     proto_msg_bytes: int = 0  #: standalone protocol messages (UNC ckpt meta)
     n_data_msgs: int = 0
     n_marker_msgs: int = 0
-    n_proto_msgs: int = 0
 
-    # checkpoints: one row per snapshot
-    checkpoints: List[dict] = field(default_factory=list)
+    #: counted checkpoints (``Protocol.counts_in_totals``, initial ones
+    #: excluded), in the order they were taken
+    checkpoints: List[CheckpointMeta] = field(default_factory=list)
     # COOR rounds: one row per completed round
     rounds: List[dict] = field(default_factory=list)
     # sink latency samples: (sink_ts, ingest_ts)
@@ -37,32 +43,16 @@ class Telemetry:
     recovery: Dict[str, Any] = field(default_factory=dict)
     # counters of workload progress
     n_source_emitted: int = 0
-    n_sinked: int = 0
 
-    def record_checkpoint(
-        self,
-        *,
-        op: str,
-        idx: int,
-        index: int,
-        ts: float,
-        kind: str,
-        duration: float,
-        state_bytes: int,
-        round_id: Optional[int] = None,
-    ) -> None:
-        self.checkpoints.append(
-            dict(
-                op=op,
-                instance=idx,
-                index=index,
-                ts=ts,
-                kind=kind,
-                duration=duration,
-                state_bytes=state_bytes,
-                round_id=round_id,
-            )
-        )
+    @property
+    def n_sinked(self) -> int:
+        """Records delivered to a sink (first arrivals only)."""
+        return len(self.latencies)
+
+    @property
+    def marker_bytes(self) -> int:
+        """Bytes of COOR markers."""
+        return self.n_marker_msgs * MARKER_BYTES
 
     def record_round(self, round_id: int, start: float, end: float, n_snapshots: int) -> None:
         self.rounds.append(
@@ -72,7 +62,14 @@ class Telemetry:
     # -- frame exports -----------------------------------------------------
     def checkpoints_frame(self) -> pd.DataFrame:
         cols = ["op", "instance", "index", "ts", "kind", "duration", "state_bytes", "round_id"]
-        return pd.DataFrame(self.checkpoints, columns=cols)
+        return pd.DataFrame(
+            [
+                (m.instance[0], m.instance[1], m.index, m.ts, m.kind, m.duration,
+                 m.state_bytes, m.round_id)
+                for m in self.checkpoints
+            ],
+            columns=cols,
+        )
 
     def rounds_frame(self) -> pd.DataFrame:
         cols = ["round_id", "start", "end", "duration", "n_snapshots"]

@@ -131,11 +131,10 @@ def cyclic_events(
 
 def cyclic_topics(
     *, rate: float, duration: float, n_workers: int, seed: int = 0,
-    n_nodes: int = 100_000, deletions: bool = True,
+    n_nodes: int = 100_000,
 ) -> Dict[str, ReplayableLog]:
-    links, sources = cyclic_events(
-        rate=rate, duration=duration, seed=seed, n_nodes=n_nodes, deletions=deletions
-    )
+    """The query's topics, with the paper's deletion mix."""
+    links, sources = cyclic_events(rate=rate, duration=duration, seed=seed, n_nodes=n_nodes)
     return {
         "links": ReplayableLog.from_records("links", links, n_workers),
         "sources": ReplayableLog.from_records("sources", sources, n_workers),

@@ -8,7 +8,7 @@ skewed-workload experiments, Fig. 12/13).
 
 Events are produced as :class:`repro.dataflow.messages.Record` lists ready
 to be loaded into a :class:`ReplayableLog`, and as pandas frames (via
-``*_frame``) for the Spark/DuckDB batch references.
+``records_frame``) for the Spark/DuckDB batch references.
 """
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ STATES = ["OR", "ID", "CA", "WA", "NV", "AZ", "NY", "TX", "FL", "UT"]
 Q3_STATES = ("OR", "ID", "CA")
 Q3_CATEGORY = 10
 N_CATEGORIES = 10  #: categories 10..19 -> Q3 keeps ~10 %
+#: size of the hot key set under skew: hot events go to ids 1..N_HOT
+N_HOT = 1
 
 
 def _spaced_ts(n: int, rate: float) -> np.ndarray:
@@ -39,18 +41,17 @@ def bids(
     duration: float,
     seed: int = 0,
     hot_ratio: float = 0.0,
-    n_hot: int = 1,
     n_auctions: int = 500,
     n_bidders: int = 200,
 ) -> List[Record]:
     """Bid stream for Q1/Q12. ``hot_ratio`` sends that fraction of bids to
-    ``n_hot`` hot bidders/auctions (ids 1..n_hot)."""
+    the ``N_HOT`` hot bidders/auctions."""
     n = int(rate * duration)
     g = np.random.default_rng(seed)
     ts = _spaced_ts(n, rate)
     hot = g.random(n) < hot_ratio
-    auction = np.where(hot, g.integers(1, n_hot + 1, n), g.integers(1, n_auctions + 1, n))
-    bidder = np.where(hot, g.integers(1, n_hot + 1, n), g.integers(1, n_bidders + 1, n))
+    auction = np.where(hot, g.integers(1, N_HOT + 1, n), g.integers(1, n_auctions + 1, n))
+    bidder = np.where(hot, g.integers(1, N_HOT + 1, n), g.integers(1, n_bidders + 1, n))
     price = np.round(g.random(n) * 1000 + 1, 2)
     return [
         Record(
@@ -74,12 +75,11 @@ def persons_auctions(
     duration: float,
     seed: int = 0,
     hot_ratio: float = 0.0,
-    n_hot: int = 1,
 ) -> Tuple[List[Record], List[Record]]:
     """Interleaved person/auction streams (1 person : 3 auctions) for
     Q3/Q8. ``rate`` is the combined rate. Auction sellers reference already
     seen person ids; under skew a ``hot_ratio`` fraction of auctions is
-    sold by the ``n_hot`` first persons."""
+    sold by the ``N_HOT`` first persons."""
     n = int(rate * duration)
     g = np.random.default_rng(seed)
     ts = _spaced_ts(n, rate)
@@ -106,8 +106,8 @@ def persons_auctions(
             )
         else:
             aid = len(auctions) + 1
-            if hot_ratio and g.random() < hot_ratio and n_persons >= n_hot:
-                seller = int(g.integers(1, n_hot + 1))
+            if hot_ratio and g.random() < hot_ratio and n_persons >= N_HOT:
+                seller = int(g.integers(1, N_HOT + 1))
             else:
                 seller = int(g.integers(1, max(n_persons, 1) + 1))
             auctions.append(
@@ -129,20 +129,8 @@ def persons_auctions(
 # -- pandas frames for the Spark/DuckDB batch references -------------------
 
 
-def bids_frame(records: List[Record]) -> pd.DataFrame:
-    return pd.DataFrame(
-        [
-            {"uid": r.uid, "ts": r.ingest_ts, **r.value}
-            for r in records
-        ]
-    )
-
-
-def persons_frame(records: List[Record]) -> pd.DataFrame:
-    return pd.DataFrame([{"uid": r.uid, "ts": r.ingest_ts, **r.value} for r in records])
-
-
-def auctions_frame(records: List[Record]) -> pd.DataFrame:
+def records_frame(records: List[Record]) -> pd.DataFrame:
+    """One row per record: ``uid``, ``ts`` and the value's fields."""
     return pd.DataFrame([{"uid": r.uid, "ts": r.ingest_ts, **r.value} for r in records])
 
 
@@ -157,20 +145,17 @@ def topics_for_query(
     n_workers: int,
     seed: int = 0,
     hot_ratio: float = 0.0,
-    n_hot: int = 1,
 ) -> Dict[str, ReplayableLog]:
     """Build the ReplayableLog topics a query's sources consume.
 
     ``rate`` is the query's total input rate across all its streams.
     """
     if query in ("q1", "q12"):
-        recs = bids(
-            rate=rate, duration=duration, seed=seed, hot_ratio=hot_ratio, n_hot=n_hot
-        )
+        recs = bids(rate=rate, duration=duration, seed=seed, hot_ratio=hot_ratio)
         return {"bids": ReplayableLog.from_records("bids", recs, n_workers)}
     if query in ("q3", "q8"):
         persons, auctions = persons_auctions(
-            rate=rate, duration=duration, seed=seed, hot_ratio=hot_ratio, n_hot=n_hot
+            rate=rate, duration=duration, seed=seed, hot_ratio=hot_ratio
         )
         return {
             "persons": ReplayableLog.from_records("persons", persons, n_workers),

@@ -1,10 +1,11 @@
 """Checkpointing-protocol interface (paper §III).
 
 A protocol plugs into the simulator through a small set of hooks that mirror
-where real engines intercept the data plane: message send, message receive,
-marker handling, checkpoint timers, and failure recovery. Each concrete
-protocol also carries the qualitative feature flags that reproduce the
-paper's Table I.
+where real engines intercept the data plane: start and resume (where
+checkpoint timers and rounds are scheduled through ``sim.call_at``),
+message send, message receive, marker handling, and failure recovery. Each
+concrete protocol also carries the qualitative feature flags that reproduce
+the paper's Table I.
 """
 from __future__ import annotations
 
@@ -48,7 +49,8 @@ class Protocol:
     """Base class. The simulator calls these hooks; default = no-op."""
 
     name = "none"
-    #: Table I feature flags (paper Table I)
+    #: Table I feature flags (paper Table I), all off; each protocol
+    #: turns on its own over these
     features: Dict[str, bool] = {
         "blocking_markers": False,
         "inflight_logging": False,

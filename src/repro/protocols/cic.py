@@ -33,7 +33,6 @@ from typing import Dict, Tuple
 
 from repro.dataflow.messages import InstanceId, Kind, Message
 
-from .base import RecoveryPlan
 from .uncoordinated import UncoordinatedProtocol
 
 
@@ -55,16 +54,7 @@ class CICProtocol(UncoordinatedProtocol):
     """CIC: UNC + piggybacked HMNR vectors + forced checkpoints."""
 
     name = "CIC"
-    features = {
-        "blocking_markers": False,
-        "inflight_logging": True,
-        "dedup_required": True,
-        "message_overhead": True,
-        "independent_checkpoints": True,
-        "straggler_stalls": False,
-        "unused_checkpoints": True,
-        "forced_checkpoints": True,
-    }
+    features = {**UncoordinatedProtocol.features, "message_overhead": True, "forced_checkpoints": True}
 
     def __init__(self, interval: float = 4.0):
         super().__init__(interval=interval)
@@ -72,7 +62,6 @@ class CICProtocol(UncoordinatedProtocol):
         self.inst_index: Dict[InstanceId, int] = {}
         self.n_instances = 0
         self.piggyback_nbytes = 0
-        self.forced = 0
 
     def bind(self, sim) -> None:
         super().bind(sim)
@@ -129,7 +118,6 @@ class CICProtocol(UncoordinatedProtocol):
             (st.sent_to >> s) & 1 or (pb["taken"] >> me) & 1
         )
         if force:
-            self.forced += 1
             self.on_local_checkpoint(inst, kind="forced")
         # merge protocol knowledge from the piggyback
         if pb["clock"] > st.clock:
@@ -145,8 +133,3 @@ class CICProtocol(UncoordinatedProtocol):
         else:
             st.greater &= ~(1 << s)
         return 0.0
-
-    def plan_recovery(self, t_detect: float) -> RecoveryPlan:
-        plan = super().plan_recovery(t_detect)
-        plan.info["forced_checkpoints"] = self.forced
-        return plan

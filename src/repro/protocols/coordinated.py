@@ -10,7 +10,7 @@ replay and no recovery-line search.
 """
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.dataflow.messages import Channel, InstanceId, Message
 
@@ -22,16 +22,7 @@ class CoordinatedProtocol(Protocol):
 
     name = "COOR"
     supports_cycles = False
-    features = {
-        "blocking_markers": True,
-        "inflight_logging": False,
-        "dedup_required": False,
-        "message_overhead": False,
-        "independent_checkpoints": False,
-        "straggler_stalls": True,
-        "unused_checkpoints": False,
-        "forced_checkpoints": False,
-    }
+    features = {**Protocol.features, "blocking_markers": True, "straggler_stalls": True}
 
     #: round control traffic: coordinator start/conclude message per worker
     ROUND_CTRL_BYTES = 16
@@ -48,7 +39,8 @@ class CoordinatedProtocol(Protocol):
         #: round -> {inst: checkpoint index}
         self.round_members: Dict[int, Dict[InstanceId, int]] = {}
         self.round_start: Dict[int, float] = {}
-        self.completed_rounds: list = []  # [(round_id, {inst: idx}, end_ts)]
+        #: id of the last round every participant snapshotted in
+        self.last_completed: Optional[int] = None
         self.participants: list = []
 
     def bind(self, sim) -> None:
@@ -84,9 +76,9 @@ class CoordinatedProtocol(Protocol):
         self._maybe_complete(r, t)
 
     def _maybe_complete(self, r: int, t: float) -> None:
-        if len(self.round_members.get(r, {})) == len(self.participants):
+        if len(self.round_members[r]) == len(self.participants):
             end = t + self.sim.cost.store_rtt
-            self.completed_rounds.append((r, dict(self.round_members[r]), end))
+            self.last_completed = r
             self.sim.telemetry.record_round(
                 r, self.round_start[r], end, len(self.round_members[r])
             )
@@ -107,26 +99,22 @@ class CoordinatedProtocol(Protocol):
         r = msg.meta["round"]
         if r <= self.last_round.get(inst, 0) or r != self.round_id:
             return  # marker of a superseded (pre-failure) round
-        if msg.meta.get("trigger"):  # coordinator trigger at a source
-            meta = self.sim.take_checkpoint(inst, "coordinated", round_id=r)
-            self.round_members[r][inst] = meta.index
-            self.last_round[inst] = r
-            self.sim.emit_marker(inst, r)
-            self._maybe_complete(r, t)
-            return
-        got = self.aligning.setdefault(inst, set())
-        got.add(msg.channel)
-        self.blocked.add(msg.channel)
-        if len(got) == len(self.sim.in_channels[inst]):
-            meta = self.sim.take_checkpoint(inst, "coordinated", round_id=r)
-            self.round_members[r][inst] = meta.index
-            self.last_round[inst] = r
-            self.sim.emit_marker(inst, r)
+        in_channels = self.sim.in_channels[inst]  # none at a source
+        if not msg.meta.get("trigger"):  # a coordinator trigger needs no alignment
+            got = self.aligning.setdefault(inst, set())
+            got.add(msg.channel)
+            self.blocked.add(msg.channel)
+            if len(got) < len(in_channels):
+                return
             del self.aligning[inst]
-            for ch in self.sim.in_channels[inst]:
-                self.blocked.discard(ch)
-                self.sim.unblock_channel(ch)
-            self._maybe_complete(r, t)
+        meta = self.sim.take_checkpoint(inst, "coordinated", round_id=r)
+        self.round_members[r][inst] = meta.index
+        self.last_round[inst] = r
+        self.sim.emit_marker(inst, r)
+        for ch in in_channels:
+            self.blocked.discard(ch)
+            self.sim.unblock_channel(ch)
+        self._maybe_complete(r, t)
 
     def counts_in_totals(self, inst) -> bool:
         """COOR: every aligned participant's snapshot counts (the paper's
@@ -138,17 +126,12 @@ class CoordinatedProtocol(Protocol):
         """Roll every operator back to the last *completed* round (or to the
         initial state if none completed). Aligned cut: no replay, no
         recovery-line search, no invalid checkpoints."""
-        if self.completed_rounds:
-            r, members, _ = self.completed_rounds[-1]
-            line = {inst: members[inst] for inst in self.participants}
-            info = {"round": r}
-        else:
-            line = {inst: 0 for inst in self.participants}
-            info = {"round": None}
+        r = self.last_completed
+        members = self.round_members[r] if r is not None else dict.fromkeys(self.participants, 0)
         return RecoveryPlan(
-            line=line,
+            line={inst: members[inst] for inst in self.participants},
             replay={},
             invalid=0,
             ckpts_scanned=len(self.participants),
-            info=info,
+            info={"round": r},
         )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.dataflow.messages import Channel, InstanceId
 from repro.dataflow.state import CheckpointStore
@@ -106,18 +106,18 @@ def find_recovery_line(
     store: CheckpointStore,
     instances: List[InstanceId],
     out_channels: Dict[InstanceId, List[Channel]],
+    counted: Iterable[InstanceId],
 ) -> Tuple[Dict[InstanceId, int], int, int]:
     """Compute the recovery line.
 
     Returns ``(line, invalid_nodes, ckpts_scanned)`` where ``invalid_nodes``
     is the number of checkpoints newer than the line (the checkpoints that
     can no longer be part of any consistent recovery line — paper Table III
-    counts these), over *all* instances; the caller filters to the
-    instances whose checkpoints are counted in totals.
+    counts these) over the ``counted`` instances.
     """
     adj = build_checkpoint_graph(store, instances, out_channels)
     latest = {inst: len(store.checkpoints(inst)) - 1 for inst in instances}
     line = rollback_propagation(adj, latest)
-    invalid = sum(latest[i] - line[i] for i in instances)
+    invalid = sum(latest[i] - line[i] for i in counted)
     scanned = sum(latest[i] + 1 for i in instances)
     return line, invalid, scanned

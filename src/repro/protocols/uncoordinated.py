@@ -35,14 +35,11 @@ class UncoordinatedProtocol(Protocol):
 
     name = "UNC"
     features = {
-        "blocking_markers": False,
+        **Protocol.features,
         "inflight_logging": True,
         "dedup_required": True,
-        "message_overhead": False,
         "independent_checkpoints": True,
-        "straggler_stalls": False,
         "unused_checkpoints": True,
-        "forced_checkpoints": False,
     }
 
     def __init__(self, interval: float = 4.0):
@@ -101,14 +98,9 @@ class UncoordinatedProtocol(Protocol):
     def plan_recovery(self, t_detect: float) -> RecoveryPlan:
         sim = self.sim
         instances = list(sim.instances.keys())
-        line, invalid_all, scanned = find_recovery_line(
-            sim.store, instances, sim.out_channels
-        )
-        # Table III counts only source/stateful checkpoints
-        invalid = sum(
-            (len(sim.store.checkpoints(i)) - 1) - line[i]
-            for i in instances
-            if self.counts_in_totals(i)
+        line, invalid, scanned = find_recovery_line(
+            sim.store, instances, sim.out_channels,
+            counted=[i for i in instances if self.counts_in_totals(i)],
         )
         replay = {}
         for inst in instances:
@@ -129,5 +121,4 @@ class UncoordinatedProtocol(Protocol):
             replay=replay,
             invalid=invalid,
             ckpts_scanned=scanned,
-            info={"invalid_all_instances": invalid_all},
         )

@@ -27,7 +27,7 @@ from repro.core.config import ExperimentConfig
 CELLS = {
     "cyclic-cic-del": ExperimentConfig(
         query="cyclic", protocol="CIC", workers=3, rate=200.0, duration=10.0,
-        fail_at=6.0, n_nodes=1000, deletions=True, seed=7,
+        fail_at=6.0, n_nodes=1000, seed=7,
     ),
     "q8-coor-hot": ExperimentConfig(
         query="q8", protocol="COOR", workers=3, rate=1000.0, duration=10.0,

@@ -4,11 +4,9 @@ import pytest
 
 from repro.nexmark.generator import (
     Q3_STATES,
-    auctions_frame,
     bids,
-    bids_frame,
     persons_auctions,
-    persons_frame,
+    records_frame,
     topics_for_query,
 )
 
@@ -33,7 +31,7 @@ class TestBids:
         assert top < 0.05 * len(rs)
 
     def test_hot_ratio_concentrates_keys(self):
-        rs = bids(rate=2000, duration=5, hot_ratio=0.3, n_hot=1)
+        rs = bids(rate=2000, duration=5, hot_ratio=0.3)
         hot = sum(1 for r in rs if r.value["bidder"] == 1)
         assert 0.25 * len(rs) < hot < 0.40 * len(rs)
 
@@ -64,7 +62,7 @@ class TestPersonsAuctions:
         assert set(Q3_STATES) <= states
 
     def test_hot_sellers_under_skew(self):
-        _, aus = persons_auctions(rate=2000, duration=5, hot_ratio=0.3, n_hot=1, seed=1)
+        _, aus = persons_auctions(rate=2000, duration=5, hot_ratio=0.3, seed=1)
         hot = sum(1 for a in aus if a.value["seller"] == 1)
         assert hot > 0.2 * len(aus)
 
@@ -75,12 +73,12 @@ class TestPersonsAuctions:
 
 class TestFrames:
     def test_bids_frame_columns(self):
-        f = bids_frame(bids(rate=10, duration=1))
+        f = records_frame(bids(rate=10, duration=1))
         assert list(f.columns) == ["uid", "ts", "auction", "bidder", "price"]
 
     def test_persons_auctions_frames(self):
         ps, aus = persons_auctions(rate=40, duration=1)
-        pf, af = persons_frame(ps), auctions_frame(aus)
+        pf, af = records_frame(ps), records_frame(aus)
         assert {"id", "name", "city", "state"} <= set(pf.columns)
         assert {"id", "seller", "category"} <= set(af.columns)
 

@@ -91,10 +91,6 @@ class TestRouting:
         e = Edge("a", "b", routing="forward")
         assert e.route(_rec(), 3, 8) == [3]
 
-    def test_broadcast_routes_everywhere(self):
-        e = Edge("a", "b", routing="broadcast")
-        assert e.route(_rec(), 0, 5) == [0, 1, 2, 3, 4]
-
     def test_hash_uses_record_key_by_default(self):
         e = Edge("a", "b", routing="hash")
         assert e.route(_rec(key=7), 0, 4) == [stable_hash(7) % 4]

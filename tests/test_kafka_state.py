@@ -136,9 +136,21 @@ class TestMessageLog:
         assert ml.total_logged() == 2
         assert len(ml.channels()) == 2
 
+    def test_append_rejects_non_increasing_seq(self):
+        ml = MessageLog()
+        ch = ("a", 0, "b", 0)
+        ml.append(ch, 1, "x")
+        ml.append(ch, 2, "y")
+        for seq in (2, 1):
+            with pytest.raises(ValueError, match="not above"):
+                ml.append(ch, seq, "z")
+        ml.truncate(ch, 1)  # the sender rolled back to seq 1
+        ml.append(ch, 2, "z")
+        assert ml.replay_range(ch, 0, 2) == [(1, "x"), (2, "z")]
 
-#: a channel's sends: runs of consecutive seqs (start, length); a run that
-#: starts below the last logged seq is the re-send after a rollback
+
+#: a channel's sends: runs of consecutive seqs (start, length); each run is
+#: a rollback of the sender to ``start`` followed by sends from ``start + 1``
 _runs = st.lists(st.tuples(st.integers(0, 20), st.integers(0, 12)), max_size=4)
 
 
@@ -150,12 +162,17 @@ def test_replay_range_matches_linear_filter(channels, after, upto):
     for c, runs in enumerate(channels):
         ch = ("a", 0, "b", c)
         sent = logged.setdefault(ch, [])
+        n_appends = 0
         for start, n in runs:
+            ml.truncate(ch, start)
+            sent[:] = [(s, r) for s, r in sent if s <= start]
             for seq in range(start + 1, start + n + 1):
-                rec = f"{c}:{len(sent)}"  # distinct per append, also for a re-sent seq
+                rec = f"{c}:{n_appends}"  # distinct per append, also for a re-sent seq
+                n_appends += 1
                 ml.append(ch, seq, rec)
                 sent.append((seq, rec))
     for c in range(len(channels) + 1):  # the last channel has no log
         ch = ("a", 0, "b", c)
         expected = [(s, r) for s, r in logged.get(ch, []) if after < s <= upto]
         assert ml.replay_range(ch, after, upto) == expected
+    assert ml.total_logged() == sum(len(sent) for sent in logged.values())

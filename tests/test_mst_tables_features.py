@@ -4,7 +4,13 @@ import math
 import pandas as pd
 import pytest
 
-from repro.core.features import PAPER_TABLE1, feature_matrix, render_table1
+from repro.core.features import (
+    FEATURE_ORDER,
+    PAPER_TABLE1,
+    feature_matrix,
+    matches_paper_table1,
+    render_table1,
+)
 from repro.core.mst import measure_mst
 from repro.core.tables import (
     PAPER_TABLE2,
@@ -15,6 +21,7 @@ from repro.core.tables import (
     table4_configs,
     table4_frame,
 )
+from repro.protocols import CICProtocol, CoordinatedProtocol, Protocol, UncoordinatedProtocol
 
 
 class TestMST:
@@ -39,6 +46,17 @@ class TestTable1:
         for name, flags in PAPER_TABLE1.items():
             for f, v in flags.items():
                 assert bool(ours.loc[name, f]) == v, (name, f)
+
+    def test_paper_check_detects_a_flipped_flag(self, monkeypatch):
+        assert matches_paper_table1()
+        flipped = {**CICProtocol.features, "forced_checkpoints": False}
+        monkeypatch.setattr(CICProtocol, "features", flipped)
+        assert not matches_paper_table1()
+
+    def test_every_protocol_has_every_flag(self):
+        assert list(Protocol.features) == FEATURE_ORDER
+        for cls in (CoordinatedProtocol, UncoordinatedProtocol, CICProtocol):
+            assert sorted(cls.features) == sorted(FEATURE_ORDER), cls.name
 
     def test_render_contains_symbols(self):
         s = render_table1()

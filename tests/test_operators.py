@@ -14,7 +14,6 @@ from repro.dataflow.operators import (
     IncrementalJoinOp,
     MapOp,
     PassThrough,
-    SinkOp,
     WindowCountOp,
     WindowJoinOp,
 )
@@ -203,15 +202,6 @@ class TestWindowCount:
         c.restore(snap)
         out = c.process(rec("b2", 5, {}, ts=2.0), "s")
         assert out[0].value["count"] == 2
-
-
-class TestSink:
-    def test_dedups_by_uid(self):
-        s = SinkOp(0, 1)
-        s._now = 1.0
-        s.process(rec("a", 1, {"v": 1}), "x")
-        s.process(rec("a", 1, {"v": 1}), "x")
-        assert len(s.results) == 1 and len(s.arrivals) == 2
 
 
 def make_cjoin():

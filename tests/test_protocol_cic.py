@@ -159,7 +159,7 @@ class TestEndToEnd:
 
     def test_forced_checkpoints_counted_in_totals(self):
         res = run_cyclic("CIC", fail_at=None, duration=5.0)
-        kinds = {c["kind"] for c in res.telemetry.checkpoints}
+        kinds = {c.kind for c in res.telemetry.checkpoints}
         assert "local" in kinds  # forced may or may not trigger on tiny runs
 
     def test_features(self):

@@ -22,7 +22,10 @@ class TestAlignment:
         snapshot equals the receiver's last_recv at its round-r snapshot."""
         sim, res = coor_run("q3")
         proto = sim.protocol
-        for r, members, _ in proto.completed_rounds:
+        completed = [row["round_id"] for row in res.telemetry.rounds]
+        assert completed and proto.last_completed == completed[-1]
+        for r in completed:
+            members = proto.round_members[r]
             for inst, idx in members.items():
                 meta = sim.store.get(inst, idx).meta
                 for ch in sim.out_channels[inst]:
@@ -35,8 +38,9 @@ class TestAlignment:
     def test_every_participant_snapshots_each_round(self):
         sim, res = coor_run("q3")
         n_participants = len(sim.protocol.participants)
-        for r, members, _ in sim.protocol.completed_rounds:
-            assert len(members) == n_participants
+        for row in res.telemetry.rounds:
+            members = sim.protocol.round_members[row["round_id"]]
+            assert len(members) == row["n_snapshots"] == n_participants
 
     def test_rounds_complete_and_are_timed(self):
         sim, res = coor_run("q1")
@@ -107,7 +111,7 @@ class TestCyclicRejection:
 class TestAccounting:
     def test_counts_stateless_participants(self):
         res = run_query("q1", "COOR", fail_at=None)
-        ops = {c["op"] for c in res.telemetry.checkpoints}
+        ops = {c.instance[0] for c in res.telemetry.checkpoints}
         assert ops == {"src_bids", "map"}
 
     def test_round_ctrl_messages_counted(self):

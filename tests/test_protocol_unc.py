@@ -17,7 +17,7 @@ def unc_run(qname="q12", fail_at=None, w=4, interval=2.0):
 class TestIndependentCheckpoints:
     def test_counted_participants_are_sources_and_stateful(self):
         sim, res = unc_run("q3")
-        ops = {c["op"] for c in res.telemetry.checkpoints}
+        ops = {c.instance[0] for c in res.telemetry.checkpoints}
         assert ops == {"src_persons", "src_auctions", "join"}
 
     def test_stateless_ops_keep_counter_checkpoints(self):
@@ -27,15 +27,15 @@ class TestIndependentCheckpoints:
 
     def test_checkpoints_spread_over_time(self):
         sim, res = unc_run("q12")
-        ts = sorted(c["ts"] for c in res.telemetry.checkpoints)
+        ts = sorted(c.ts for c in res.telemetry.checkpoints)
         # independent jittered timers: not all at the same instant
         assert len({round(t, 1) for t in ts}) > 3
 
     def test_jitter_is_deterministic(self):
         s1, r1 = unc_run("q12")
         s2, r2 = unc_run("q12")
-        assert [c["ts"] for c in r1.telemetry.checkpoints] == [
-            c["ts"] for c in r2.telemetry.checkpoints
+        assert [c.ts for c in r1.telemetry.checkpoints] == [
+            c.ts for c in r2.telemetry.checkpoints
         ]
 
 
@@ -51,6 +51,15 @@ class TestMessageLogging:
         for ch in sim.msg_log.channels():
             logged = sim.msg_log.replay_range(ch, 0, 10**9)
             assert len(logged) == sim.sent_seq[ch]
+            assert [s for s, _ in logged] == list(range(1, sim.sent_seq[ch] + 1))
+
+    def test_log_matches_sent_after_rollback(self):
+        """At resume each sender's log is cut back to its restored counter,
+        so the re-sent messages replace the rolled-back ones."""
+        sim, res = unc_run("q12", fail_at=6.0)
+        assert res.telemetry.recovery["n_replay"] > 0
+        for ch in sim.msg_log.channels():
+            logged = sim.msg_log.replay_range(ch, 0, 10**9)
             assert [s for s, _ in logged] == list(range(1, sim.sent_seq[ch] + 1))
 
 

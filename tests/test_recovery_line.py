@@ -48,7 +48,7 @@ class Builder:
         self.store.put(StoredCheckpoint(meta, None))
 
     def line(self):
-        return find_recovery_line(self.store, self.insts, self.out)
+        return find_recovery_line(self.store, self.insts, self.out, self.insts)
 
 
 class TestSimpleScenarios:

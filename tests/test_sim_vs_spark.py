@@ -8,13 +8,7 @@ oracle-checked against DuckDB), not just against another simulator run.
 import pytest
 
 from helpers import FAIL_AT, cyclic_workload, run_cyclic, run_query
-from repro.nexmark.generator import (
-    auctions_frame,
-    bids,
-    bids_frame,
-    persons_auctions,
-    persons_frame,
-)
+from repro.nexmark.generator import bids, persons_auctions, records_frame
 from repro.nexmark.spark_queries import (
     Q1_SQL,
     Q3_SQL,
@@ -35,9 +29,9 @@ RATE, DURATION, SEED = 400.0, 10.0, 1
 
 @pytest.fixture(scope="module")
 def inputs():
-    b = bids_frame(bids(rate=RATE, duration=DURATION, seed=SEED))
+    b = records_frame(bids(rate=RATE, duration=DURATION, seed=SEED))
     ps, aus = persons_auctions(rate=RATE, duration=DURATION, seed=SEED)
-    return b, persons_frame(ps), auctions_frame(aus)
+    return b, records_frame(ps), records_frame(aus)
 
 
 @pytest.mark.parametrize("protocol", ["COOR", "UNC", "CIC"])

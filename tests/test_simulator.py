@@ -1,13 +1,16 @@
 """Tests for the discrete-event simulator's core mechanics."""
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import run_query
+from helpers import FAIL_AT, INTERVAL, W, run_cyclic, run_query
+from repro.core.config import make_protocol
 from repro.dataflow.costs import SimCost
 from repro.dataflow.kafka_sim import ReplayableLog
 from repro.dataflow.messages import Record
 from repro.dataflow.simulator import Simulation
+from repro.nexmark.cyclic import reachability_graph
 from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
 from repro.protocols import CoordinatedProtocol, NoneProtocol, UncoordinatedProtocol
@@ -71,7 +74,7 @@ class TestChannelFifo:
         sim = tiny()
         res = sim.run(4.0)
         # arrivals at the sink are time-ordered overall (single collector)
-        times = [t for t, _, _ in sim.sinks["sink"].arrivals]
+        times = [t for t, _ in res.telemetry.latencies]
         assert times == sorted(times)
 
 
@@ -152,6 +155,42 @@ class TestByteAccounting:
         res = run_query("q12", "UNC", fail_at=6.0)
         cf = res.telemetry.checkpoints_frame()
         assert set(cf.columns) >= {"op", "instance", "index", "ts", "kind", "duration"}
+
+
+#: cached failure runs: (graph builder, run) per case
+_FAILURE_RUNS = {
+    "q3-COOR": (QUERIES["q3"], lambda: run_query("q3", "COOR", fail_at=FAIL_AT)),
+    "q3-UNC": (QUERIES["q3"], lambda: run_query("q3", "UNC", fail_at=FAIL_AT)),
+    "q3-CIC": (QUERIES["q3"], lambda: run_query("q3", "CIC", fail_at=FAIL_AT)),
+    "cyclic-CIC": (reachability_graph, lambda: run_cyclic("CIC", fail_at=3.0, deletions=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILURE_RUNS))
+class TestDerivedRecords:
+    """Telemetry views are the records the simulator already keeps."""
+
+    def test_checkpoints_are_the_stores_counted_metas(self, case):
+        graph_of, run = _FAILURE_RUNS[case]
+        res, graph = run(), graph_of()
+        proto = make_protocol(case.split("-")[1], INTERVAL, INTERVAL)
+        proto.sim = SimpleNamespace(graph=graph)  # counts_in_totals reads only the graph
+        taken = res.telemetry.checkpoints
+        assert taken and [m.ts for m in taken] == sorted(m.ts for m in taken)
+        insts = [(op, w) for op, spec in graph.ops.items() if not spec.is_sink for w in range(W)]
+        assert {m.instance for m in taken} <= set(insts)
+        for inst in insts:
+            stored = [cp.meta for cp in res.store.checkpoints(inst)]
+            assert [m.kind == "initial" for m in stored] == [True] + [False] * (len(stored) - 1)
+            expected = stored[1:] if proto.counts_in_totals(inst) else []
+            mine = [m for m in taken if m.instance == inst]
+            assert len(mine) == len(expected)
+            assert all(a is b for a, b in zip(mine, expected)), inst
+
+    def test_sinked_counts_the_sink_output(self, case):
+        res = _FAILURE_RUNS[case][1]()
+        assert res.n_duplicate_sink_arrivals > 0  # the failure re-delivered records
+        assert res.telemetry.n_sinked == sum(len(v) for v in res.sink_results.values())
 
 
 def _bids(times):

@@ -7,13 +7,7 @@ window assignment fails here, not just "it ran".
 import pandas as pd
 import pytest
 
-from repro.nexmark.generator import (
-    auctions_frame,
-    bids,
-    bids_frame,
-    persons_auctions,
-    persons_frame,
-)
+from repro.nexmark.generator import bids, persons_auctions, records_frame
 from repro.nexmark.spark_queries import (
     Q1_SQL,
     Q3_SQL,
@@ -31,9 +25,9 @@ from repro.oracle import assert_equivalent
 
 @pytest.fixture(scope="module")
 def nexmark_frames():
-    b = bids_frame(bids(rate=300, duration=8, seed=11))
+    b = records_frame(bids(rate=300, duration=8, seed=11))
     ps, aus = persons_auctions(rate=300, duration=8, seed=12)
-    return b, persons_frame(ps), auctions_frame(aus)
+    return b, records_frame(ps), records_frame(aus)
 
 
 class TestBatchQueriesOracle:
