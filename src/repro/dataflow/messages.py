@@ -35,7 +35,7 @@ class Kind(Enum):
     MARKER = "marker"  #: COOR checkpoint barrier marker
 
 
-@dataclass
+@dataclass(slots=True)
 class Record:
     """A single workload record.
 
@@ -64,7 +64,9 @@ class Message:
     source channel it is the record's partition offset.
     ``payload_bytes`` is the workload payload size; ``proto_bytes`` is
     protocol overhead riding on this message (marker size, CIC piggyback).
-    ``piggyback`` carries CIC's clock/vector payload when present.
+    ``lane`` is the simulator's record of ``channel``.
+    ``piggyback`` carries CIC's ``(clock, ckpt, taken, greater, sender
+    index)`` tuple when present.
     ``meta`` is set only on COOR markers and coordinator triggers (round
     id, trigger flag). ``arr`` is the virtual time the message entered its
     destination channel queue.
@@ -75,9 +77,10 @@ class Message:
     seq: int
     record: Optional[Record]
     payload_bytes: int
+    lane: Any = None
     proto_bytes: int = 0
     send_ts: float = 0.0
-    piggyback: Optional[dict] = None
+    piggyback: Optional[tuple] = None
     meta: Optional[dict] = None
     arr: float = 0.0
 

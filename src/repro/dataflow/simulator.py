@@ -39,11 +39,17 @@ fixed by the rules above):
   every counter value and every result are those of eager scheduling,
   while the heap holds O(sources + in-flight) events and resume costs
   O(sources). An out-of-order partition raises ``ValueError``.
-- Routing is precomputed per instance at build time: for every outgoing
-  edge, the channel tuple per target index, and the fixed target channel
-  when routing does not depend on the record (sink and forward edges).
-  Per-operator service times and the set of sink operators are
-  precomputed too. Protocol and operator hooks are looked up when called,
+- Every channel is one slotted ``_Lane``, built once at construction: its
+  sent and processed seqs, arrival queue and ready flag, and its receiver
+  (instance id, operator object, service time, routing table, source
+  cursor, to-sink flag). A routing table gives, per outgoing edge, the
+  fixed target lane (sink and forward edges) or the lane per target index.
+  Messages carry their lane and the per-worker head heaps hold lanes keyed
+  ``(arrival, counter, lane)`` with unique counters, so the per-message
+  path hashes no channel tuple and never compares a lane. COOR's
+  ``blocked`` set is read directly; a dispatch's send cost is summed in
+  outbox order as messages join it. ``sent_seq``/``recv_seq`` are
+  read-only views. Protocol and operator hooks are looked up when called,
   so wrappers installed after construction take effect.
 
 Each run fact is kept once: the sink output in ``sinks`` (uid -> value per
@@ -57,7 +63,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -77,6 +84,25 @@ from .state import CheckpointMeta, CheckpointStore, MessageLog, StoredCheckpoint
 from .telemetry import Telemetry
 
 _SRC = "__src__"
+_COORD = "__coord__"
+
+
+class _Lane:
+    """One channel and its receiver. ``sent``/``recv`` are the last sent and
+    processed seqs, ``q`` the arrival queue, and ``ready`` is True while the
+    lane has an entry in its worker's head heap. ``cursor`` is set on source
+    lanes only; ``routes`` is the receiver's routing table."""
+
+    __slots__ = ("ch", "w", "sent", "recv", "q", "ready", "inst", "op", "service",
+                 "routes", "cursor", "to_sink")
+
+    def __init__(self, ch: Channel, op: Any, service: float, cursor, to_sink: bool):
+        self.ch, self.w, self.inst, self.op = ch, ch[3], (ch[2], ch[3]), op
+        self.service, self.cursor, self.to_sink = service, cursor, to_sink
+        self.sent = self.recv = 0
+        self.q: deque = deque()
+        self.ready = False
+        self.routes: tuple = ()
 
 
 @dataclass
@@ -139,35 +165,48 @@ class Simulation:
                         )
                     self.cursors[(name, w)] = SourceCursor(log, w)
 
-        # --- channels and dispatch tables ----------------------------------
-        #: op -> per-record service seconds
-        self._service = {name: self.cost.op_service(spec.kind) for name, spec in graph.ops.items()}
-        #: every channel an instance can send / receive on, in edge order
-        self.out_channels: Dict[InstanceId, List[Channel]] = {i: [] for i in self.instances}
-        self.in_channels: Dict[InstanceId, List[Channel]] = {i: [] for i in self.instances}
-        #: inst -> ((edge, fixed target channels or None, channel per
-        #: target index), ...) over the op's outgoing edges; targets are
-        #: fixed on sink edges and plain forward edges, else ``edge.route``
+        # --- lanes: one per channel, with its receiver -----------------------
+        service = {name: self.cost.op_service(spec.kind) for name, spec in graph.ops.items()}
+        self.lanes: Dict[Channel, _Lane] = {}
+
+        def lane(ch: Channel, cursor=None) -> _Lane:
+            ln = self.lanes.get(ch)
+            if ln is None:
+                ln = self.lanes[ch] = _Lane(ch, self.instances.get((ch[2], ch[3])),
+                                            service[ch[2]], cursor, ch[2] in self.sinks)
+            return ln
+
+        #: the lanes each instance sends / receives on, in edge order
+        self._out_lanes: Dict[InstanceId, List[_Lane]] = {i: [] for i in self.instances}
+        self._in_lanes: Dict[InstanceId, List[_Lane]] = {i: [] for i in self.instances}
+        #: inst -> ((edge, fixed target lanes or None, lane per target
+        #: index), ...) over the op's outgoing edges; targets are fixed on
+        #: sink edges and plain forward edges, else ``edge.route`` picks
         routes: Dict[InstanceId, list] = {i: [] for i in self.instances}
         for e in graph.edges:
             forward = e.routing == "forward" and e.broadcast_pred is None
             for i in range(n_workers):
+                fixed = targets = None
                 if e.dst in self.sinks:
-                    chans = fixed = ((e.src, i, e.dst, 0),)
+                    fixed = (lane((e.src, i, e.dst, 0)),)
+                elif forward:
+                    fixed = (lane((e.src, i, e.dst, i)),)
                 else:
-                    chans = tuple((e.src, i, e.dst, j) for j in range(n_workers))
-                    fixed = (chans[i],) if forward else None
-                    for ch in fixed or chans:
-                        self.in_channels[(e.dst, ch[3])].append(ch)
-                self.out_channels[(e.src, i)].extend(fixed or chans)
-                routes[(e.src, i)].append((e, fixed, chans))
-        self._routes = {inst: tuple(table) for inst, table in routes.items()}
-
-        # --- channel state -------------------------------------------------
-        self.sent_seq: Dict[Channel, int] = {}
-        self.recv_seq: Dict[Channel, int] = {}
-        self.queues: Dict[Channel, deque] = {}
-        self.in_ready: Dict[Channel, bool] = {}
+                    targets = tuple(lane((e.src, i, e.dst, j)) for j in range(n_workers))
+                for ln in fixed or targets:
+                    if not ln.to_sink:
+                        self._in_lanes[ln.inst].append(ln)
+                self._out_lanes[(e.src, i)].extend(fixed or targets)
+                routes[(e.src, i)].append((e, fixed, targets))
+        for inst, cur in self.cursors.items():
+            lane((_SRC, 0) + inst, cur)
+            lane((_COORD, 0) + inst)  # coordinator triggers (COOR)
+        tables = {inst: tuple(table) for inst, table in routes.items()}
+        for ln in self.lanes.values():
+            ln.routes = tables.get(ln.inst, ())
+        #: every channel an instance can send / receive on, in edge order
+        self.out_channels = {i: [ln.ch for ln in ls] for i, ls in self._out_lanes.items()}
+        self.in_channels = {i: [ln.ch for ln in ls] for i, ls in self._in_lanes.items()}
 
         # --- worker state --------------------------------------------------
         self.busy_until = [0.0] * n_workers
@@ -185,7 +224,7 @@ class Simulation:
         self.horizon = float("inf")
         self.n_dedup_drops = 0
         self.n_dup_sink = 0
-        self._extra_service = 0.0
+        self._extra_service = self._send_cost = 0.0
         self._outbox: Optional[List[Message]] = None
 
         # implicit initial checkpoints (index 0) for every worker instance
@@ -193,6 +232,17 @@ class Simulation:
             self._store_checkpoint(inst, kind="initial", round_id=None, ts=0.0)
 
         self.protocol.bind(self)
+        self._blocked = protocol.blocked
+
+    @property
+    def sent_seq(self) -> Mapping[Channel, int]:
+        """Last sent seq of every channel that has one (read-only)."""
+        return MappingProxyType({ch: ln.sent for ch, ln in self.lanes.items() if ln.sent})
+
+    @property
+    def recv_seq(self) -> Mapping[Channel, int]:
+        """Last processed seq of every channel that has one (read-only)."""
+        return MappingProxyType({ch: ln.recv for ch, ln in self.lanes.items() if ln.recv})
 
     # ------------------------------------------------------------------ util
     def _push(self, t: float, kind: str, data: Any, epoch_exempt: bool = False) -> None:
@@ -215,13 +265,15 @@ class Simulation:
         which is the mechanism behind COOR's skew sensitivity (paper
         §VII-B, skewed NexMark).
         """
+        lane = self.lanes[(_COORD, 0) + inst]
         msg = Message(
             kind=Kind.MARKER,
-            channel=("__coord__", 0, inst[0], inst[1]),
+            channel=lane.ch,
             seq=0,
             record=None,
             payload_bytes=0,
             meta={**meta, "trigger": True},
+            lane=lane,
         )
         self._enqueue(self.now, msg)
 
@@ -235,58 +287,50 @@ class Simulation:
         base = self._counter + 1 - start
         self._counter += len(part) - start
         if start < len(part):
-            src = (inst, (_SRC, 0, inst[0], inst[1]), part, base, t_floor)
+            src = (self.lanes[(_SRC, 0) + inst], part, base, t_floor)
             key = max(part[start].ingest_ts, t_floor)
             heapq.heappush(self.heap, (key, base + start, "src", self.epoch, (src, start)))
 
     # --------------------------------------------------------- channel plumb
     def _enqueue(self, t: float, msg: Message) -> None:
-        ch = msg.channel
+        lane = msg.lane
         msg.arr = t
-        q = self.queues.get(ch)
-        if q is None:
-            q = self.queues[ch] = deque()
-        q.append(msg)
-        if not self.in_ready.get(ch) and not self.protocol.is_blocked(ch):
-            self.in_ready[ch] = True
-            w = ch[3]
-            heapq.heappush(self.heads[w], (t, self._counter, ch))
+        lane.q.append(msg)
+        if not lane.ready and not (self._blocked and lane.ch in self._blocked):
+            lane.ready = True
+            heapq.heappush(self.heads[lane.w], (t, self._counter, lane))
             self._counter += 1
-            self._dispatch(w, t)
+            self._dispatch(lane.w, t)
 
     def unblock_channel(self, ch: Channel) -> None:
         """Called by COOR when alignment completes for a channel."""
-        q = self.queues.get(ch)
-        if q and not self.in_ready.get(ch):
-            self.in_ready[ch] = True
-            w = ch[3]
-            heapq.heappush(self.heads[w], (q[0].arr, self._counter, ch))
+        lane = self.lanes[ch]
+        if lane.q and not lane.ready:
+            lane.ready = True
+            heapq.heappush(self.heads[lane.w], (lane.q[0].arr, self._counter, lane))
             self._counter += 1
-            self._dispatch(w, self.now)
+            self._dispatch(lane.w, self.now)
 
     # -------------------------------------------------------------- dispatch
     def _dispatch(self, w: int, t: float) -> None:
         if self.failed or self.current[w] is not None or self.busy_until[w] > t:
             return
-        heads = self.heads[w]
+        heads, blocked = self.heads[w], self._blocked
         while heads:
-            arr, _, ch = heapq.heappop(heads)
-            if not self.in_ready.get(ch):
+            lane = heapq.heappop(heads)[2]
+            if not lane.ready:
                 continue
-            if self.protocol.is_blocked(ch):
-                self.in_ready[ch] = False
-                continue
-            q = self.queues.get(ch)
-            if not q:
-                self.in_ready[ch] = False
+            q = lane.q
+            if not q or (blocked and lane.ch in blocked):
+                lane.ready = False
                 continue
             msg = q.popleft()
             if q:
-                heapq.heappush(heads, (q[0].arr, self._counter, ch))
+                heapq.heappush(heads, (q[0].arr, self._counter, lane))
                 self._counter += 1
             else:
-                self.in_ready[ch] = False
-            dur = self._process(w, ch, msg, t)
+                lane.ready = False
+            dur = self._process(w, lane, msg, t)
             if dur is None:
                 continue  # dropped with zero cost (dup / stale offset)
             self.busy_until[w] = done = t + dur
@@ -294,63 +338,60 @@ class Simulation:
             heapq.heappush(self.heap, (done, self._counter, "proc", self.epoch, w))
             return
 
-    def _process(self, w: int, ch: Channel, msg: Message, t: float) -> Optional[float]:
-        cost = self.cost
-        inst = (ch[2], ch[3])
-        self._outbox = []
-        self._extra_service = 0.0
+    def _process(self, w: int, lane: _Lane, msg: Message, t: float) -> Optional[float]:
+        outbox = self._outbox = []
+        self._extra_service = self._send_cost = 0.0
         # reentrancy guard: protocol hooks (unblock_channel) may try to
         # re-dispatch this worker while we are mid-process
-        self.current[w] = self._outbox
+        self.current[w] = outbox
 
-        if ch[0] == _SRC:
-            cur = self.cursors[inst]
+        cur = lane.cursor
+        if cur is not None:
             if msg.seq != cur.offset:
-                self._outbox = None
-                self.current[w] = None
+                self._outbox = self.current[w] = None
                 return None  # stale pre-rollback schedule
             cur.advance()
             self.telemetry.n_source_emitted += 1
-            service = self._service[inst[0]]
-            self._emit(t, inst, msg.record)
+            service = lane.service
+            self._emit(t, lane, msg.record)
         elif msg.kind is Kind.MARKER:
-            service = cost.op_service("marker")
-            self.protocol.on_marker(t, inst, msg)
+            service = self.cost.op_service("marker")
+            self.protocol.on_marker(t, lane.inst, msg)
         else:
-            prev = self.recv_seq.get(ch, 0)
-            if msg.seq <= prev:
+            if msg.seq <= lane.recv:
                 self.n_dedup_drops += 1
-                self._outbox = None
-                self.current[w] = None
+                self._outbox = self.current[w] = None
                 return None
-            extra = self.protocol.before_process(t, inst, msg)
+            # two statements: a forced checkpoint adds to _extra_service
+            extra = self.protocol.before_process(t, lane.inst, msg)
             self._extra_service += extra
-            self.recv_seq[ch] = msg.seq
-            service = self._service[inst[0]]
-            service += cost.serialize_per_byte * msg.proto_bytes
-            for rec in self.instances[inst].process(msg.record, ch[0]):
-                self._emit(t, inst, rec)
+            lane.recv = msg.seq
+            service = lane.service + self.cost.serialize_per_byte * msg.proto_bytes
+            for rec in lane.op.process(msg.record, lane.ch[0]):
+                self._emit(t, lane, rec)
 
-        send_cost = sum(cost.serialize_per_byte * m.proto_bytes for m in self._outbox)
-        dur = service + self._extra_service + send_cost
-        self.current[w] = self._outbox
         self._outbox = None
-        return dur
+        return service + self._extra_service + self._send_cost
 
-    def _emit(self, t: float, inst: InstanceId, rec: Record) -> None:
-        sent_seq, tel, outbox = self.sent_seq, self.telemetry, self._outbox
-        on_send = self.protocol.on_send
+    def _emit(self, t: float, lane: _Lane, rec: Record) -> None:
+        """Send ``rec`` from ``lane``'s receiver on the lanes its routes pick."""
+        inst, outbox, on_send = lane.inst, self._outbox, self.protocol.on_send
         payload = payload_bytes_for(rec)
-        for edge, fixed, chans in self._routes[inst]:
-            for ch in fixed or [chans[j] for j in edge.route(rec, inst[1], self.W)]:
-                seq = sent_seq.get(ch, 0) + 1
-                sent_seq[ch] = seq
-                msg = Message(Kind.DATA, ch, seq, rec, payload, 0, t)
+        per_byte, send, n, piggyback = self.cost.serialize_per_byte, self._send_cost, 0, 0
+        for edge, fixed, targets in lane.routes:
+            for out in fixed or [targets[j] for j in edge.route(rec, inst[1], self.W)]:
+                out.sent += 1
+                msg = Message(Kind.DATA, out.ch, out.sent, rec, payload, out, 0, t)
                 on_send(t, inst, msg)
-                tel.n_data_msgs += 1
-                tel.data_payload_bytes += msg.payload_bytes
-                tel.piggyback_bytes += msg.proto_bytes
+                n += 1
+                piggyback += msg.proto_bytes
+                send += per_byte * msg.proto_bytes
                 outbox.append(msg)
+        tel = self.telemetry
+        tel.n_data_msgs += n
+        tel.data_payload_bytes += n * payload
+        tel.piggyback_bytes += piggyback
+        self._send_cost = send
 
     def emit_marker(self, inst: InstanceId, round_id: int) -> None:
         """COOR: broadcast a marker on every non-sink outgoing channel.
@@ -360,20 +401,22 @@ class Simulation:
         numbers; channel-FIFO relative to data holds because arrival times
         are monotone in send times.
         """
-        for ch in self.out_channels[inst]:
-            if ch[2] in self.sinks:
+        for lane in self._out_lanes[inst]:
+            if lane.to_sink:
                 continue
             msg = Message(
                 kind=Kind.MARKER,
-                channel=ch,
-                seq=self.sent_seq.get(ch, 0),
+                channel=lane.ch,
+                seq=lane.sent,
                 record=None,
                 payload_bytes=0,
                 proto_bytes=MARKER_BYTES,
                 send_ts=self.now,
                 meta={"round": round_id},
+                lane=lane,
             )
             self.telemetry.n_marker_msgs += 1
+            self._send_cost += self.cost.serialize_per_byte * MARKER_BYTES
             self._outbox.append(msg)
 
     # ----------------------------------------------------------- checkpoints
@@ -392,8 +435,8 @@ class Simulation:
             kind=kind,
             round_id=round_id,
             state_bytes=sb,
-            last_sent={ch: self.sent_seq.get(ch, 0) for ch in self.out_channels[inst]},
-            last_recv={ch: self.recv_seq.get(ch, 0) for ch in self.in_channels[inst]},
+            last_sent={ln.ch: ln.sent for ln in self._out_lanes[inst]},
+            last_recv={ln.ch: ln.recv for ln in self._in_lanes[inst]},
             source_offset=self.cursors[inst].snapshot() if spec.is_source else None,
             duration=self.cost.snapshot_time(sb) + extra_duration,
         )
@@ -429,8 +472,9 @@ class Simulation:
     def _fail(self, t: float) -> None:
         self.failed = True
         self.epoch += 1
-        self.queues.clear()
-        self.in_ready.clear()
+        for lane in self.lanes.values():
+            lane.q.clear()
+            lane.ready = False
         self.heads = [[] for _ in range(self.W)]
         self.current = [None] * self.W
         self.busy_until = [t] * self.W
@@ -466,10 +510,10 @@ class Simulation:
             if spec.is_source:
                 self.cursors[inst].restore(cp.meta.source_offset or 0)
             for ch, s in cp.meta.last_sent.items():
-                self.sent_seq[ch] = s
+                self.lanes[ch].sent = s
                 self.msg_log.truncate(ch, s)
             for ch, s in cp.meta.last_recv.items():
-                self.recv_seq[ch] = s
+                self.lanes[ch].recv = s
         self.failed = False
         for inst in self.cursors:
             self._schedule_source_records(inst, t + 1e-6)
@@ -483,6 +527,7 @@ class Simulation:
                     record=rec,
                     payload_bytes=payload_bytes_for(rec),
                     send_ts=t,
+                    lane=self.lanes[ch],
                 )
                 k += 1
                 self._push(t + self.cost.channel_latency + k * 1e-7, "arrive", msg)
@@ -491,7 +536,7 @@ class Simulation:
 
     # ------------------------------------------------------------------ sink
     def _sink_arrive(self, t: float, msg: Message) -> None:
-        results = self.sinks[msg.channel[2]]
+        results = self.sinks[msg.lane.ch[2]]
         rec = msg.record
         if rec.uid in results:
             self.n_dup_sink += 1
@@ -524,7 +569,6 @@ class Simulation:
         pops = 0
         heap = self.heap
         heappop, heappush = heapq.heappop, heapq.heappush
-        sinks = self.sinks
         latency = self.cost.channel_latency
         while heap:
             pops += 1
@@ -536,17 +580,17 @@ class Simulation:
                 continue  # stale (pre-failure) event
             if kind == "src":
                 src, off = data
-                inst, ch, part, base, floor = src
+                lane, part, base, floor = src
                 nxt = off + 1
                 if nxt < len(part):
                     t_next = max(part[nxt].ingest_ts, floor)
                     if t_next < t:
                         raise ValueError(
-                            f"partition {inst[1]} of source {inst[0]!r} is not in "
+                            f"partition {lane.w} of source {lane.ch[2]!r} is not in "
                             f"ingest-time order at offset {nxt}"
                         )
                     heappush(heap, (t_next, base + nxt, "src", epoch, (src, nxt)))
-                self._enqueue(t, Message(Kind.DATA, ch, off, part[off], 0))
+                self._enqueue(t, Message(Kind.DATA, lane.ch, off, part[off], 0, lane))
             elif kind == "arrive":
                 if not self.failed:
                     self._enqueue(t, data)
@@ -554,7 +598,7 @@ class Simulation:
                 w = data
                 for m in self.current[w] or ():
                     self._counter += 1
-                    if m.channel[2] in sinks:
+                    if m.lane.to_sink:
                         heappush(heap, (t + latency, self._counter, "sink", -1, m))
                     else:
                         heappush(heap, (t + latency, self._counter, "arrive", self.epoch, m))

@@ -54,18 +54,10 @@ def bids(
     bidder = np.where(hot, g.integers(1, N_HOT + 1, n), g.integers(1, n_bidders + 1, n))
     price = np.round(g.random(n) * 1000 + 1, 2)
     return [
-        Record(
-            uid=f"bid{i}",
-            key=int(bidder[i]),
-            value={
-                "auction": int(auction[i]),
-                "bidder": int(bidder[i]),
-                "price": float(price[i]),
-            },
-            ingest_ts=float(ts[i]),
-            kind="bid",
+        Record(f"bid{i}", b, {"auction": a, "bidder": b, "price": p}, t, "bid")
+        for i, (a, b, p, t) in enumerate(
+            zip(auction.tolist(), bidder.tolist(), price.tolist(), ts.tolist())
         )
-        for i in range(n)
     ]
 
 

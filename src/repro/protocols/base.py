@@ -10,7 +10,7 @@ the paper's Table I.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import AbstractSet, Any, Dict, List, Tuple
 
 from repro.dataflow.messages import Channel, InstanceId, Message
 
@@ -62,6 +62,10 @@ class Protocol:
         "forced_checkpoints": False,
     }
     supports_cycles = True
+    #: COOR alignment: channels waiting for other markers, which the
+    #: simulator does not dispatch; it holds this set from ``bind`` on, so
+    #: a protocol changes it in place
+    blocked: AbstractSet[Channel] = frozenset()
 
     def __init__(self):
         self.sim = None  # set by bind()
@@ -82,10 +86,6 @@ class Protocol:
         """Re-arm timers after recovery completes."""
 
     # -- data path ---------------------------------------------------------
-    def is_blocked(self, channel: Channel) -> bool:
-        """COOR alignment: True while the channel waits for other markers."""
-        return False
-
     def before_process(self, t: float, inst: InstanceId, msg: Message) -> float:
         """Called before a data message mutates state. May take a forced
         checkpoint (CIC). Returns extra service seconds to charge."""

@@ -21,15 +21,18 @@ full HMNR refinements beyond this description are approximated —
 DESIGN.md §2.2).
 
 Implementation notes: boolean vectors are immutable int bitmasks and the
-``ckpt`` vector an immutable tuple, so piggybacking is reference-passing
-(no per-message copying); merges are skipped when the sender's vector
-object is unchanged since the last merge. The piggyback *byte* model
+``ckpt`` vector an immutable tuple. The piggyback is one immutable tuple
+``(clock, ckpt, taken, greater, sender index)``, cached per sender and
+dropped only when a checkpoint or a merge changes the sender's clock or
+vectors, so a send copies nothing. A ``ckpt`` merge is skipped when the
+sender's tuple is the very object merged last from that sender. ``ckpt``
+is stored per instance; the piggyback *byte* model
 (driving Table II) is ``8 + 4*K + 2*ceil(N/8)`` with K logical operators
 and N = K*W instances — the streaming adaptation discussed in DESIGN.md.
 """
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.dataflow.messages import InstanceId, Kind, Message
 
@@ -39,7 +42,7 @@ from .uncoordinated import UncoordinatedProtocol
 class CICState:
     """Per-instance HMNR protocol state."""
 
-    __slots__ = ("clock", "ckpt", "taken", "greater", "sent_to", "_merged")
+    __slots__ = ("clock", "ckpt", "taken", "greater", "sent_to", "_merged", "piggyback")
 
     def __init__(self, n: int):
         self.clock = 0
@@ -47,7 +50,9 @@ class CICState:
         self.taken = 0  #: bitmask over instances
         self.greater = 0
         self.sent_to = 0
-        self._merged: Dict[int, int] = {}  #: sender idx -> id(last merged ckpt tuple)
+        self._merged: Dict[int, tuple] = {}  #: sender idx -> last merged ckpt tuple
+        #: cached ``(clock, ckpt, taken, greater, index)``; None when stale
+        self.piggyback: Optional[tuple] = None
 
 
 class CICProtocol(UncoordinatedProtocol):
@@ -89,47 +94,45 @@ class CICProtocol(UncoordinatedProtocol):
         st.ckpt = tuple(ck)
         st.sent_to = 0
         st.taken = 0
+        st.piggyback = None
 
     # -- data path ---------------------------------------------------------
     def on_send(self, t: float, inst: InstanceId, msg: Message) -> None:
         super().on_send(t, inst, msg)
         st = self.states[inst]
-        dst = (msg.channel[2], msg.channel[3])
-        di = self.inst_index.get(dst)
+        di = self.inst_index.get(msg.lane.inst)
         if di is not None:
             st.sent_to |= 1 << di
         msg.proto_bytes = self.piggyback_nbytes
-        msg.piggyback = {
-            "clock": st.clock,
-            "ckpt": st.ckpt,
-            "taken": st.taken,
-            "greater": st.greater,
-            "sender": self.inst_index[inst],
-        }
+        pb = st.piggyback
+        if pb is None:
+            pb = st.piggyback = (st.clock, st.ckpt, st.taken, st.greater, self.inst_index[inst])
+        msg.piggyback = pb
 
     def before_process(self, t: float, inst: InstanceId, msg: Message) -> float:
         pb = msg.piggyback
         if pb is None or msg.kind is not Kind.DATA:
             return 0.0  # replayed messages carry no live piggyback
+        clock, ck, taken, _, s = pb
         st = self.states[inst]
         me = self.inst_index[inst]
-        s = pb["sender"]
-        force = pb["clock"] > st.clock and (
-            (st.sent_to >> s) & 1 or (pb["taken"] >> me) & 1
-        )
+        force = clock > st.clock and ((st.sent_to >> s) & 1 or (taken >> me) & 1)
         if force:
             self.on_local_checkpoint(inst, kind="forced")
         # merge protocol knowledge from the piggyback
-        if pb["clock"] > st.clock:
-            st.clock = pb["clock"]
-        ck = pb["ckpt"]
-        if st._merged.get(s) != id(ck):
-            st._merged[s] = id(ck)
+        if clock > st.clock:
+            st.clock = clock
+        if st._merged.get(s) is not ck:
+            st._merged[s] = ck
             if ck != st.ckpt:
                 st.ckpt = tuple(max(a, b) for a, b in zip(st.ckpt, ck))
-        st.taken |= pb["taken"] | (1 << s)
-        if st.clock > pb["clock"]:
+        st.taken |= taken | (1 << s)
+        if st.clock > clock:
             st.greater |= 1 << s
         else:
             st.greater &= ~(1 << s)
+        own = st.piggyback
+        if own is not None and (own[0] != st.clock or own[1] is not st.ckpt
+                                or own[2] != st.taken or own[3] != st.greater):
+            st.piggyback = None
         return 0.0

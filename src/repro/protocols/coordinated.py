@@ -92,9 +92,6 @@ class CoordinatedProtocol(Protocol):
             )
 
     # -- marker handling ---------------------------------------------------
-    def is_blocked(self, channel: Channel) -> bool:
-        return channel in self.blocked
-
     def on_marker(self, t: float, inst: InstanceId, msg: Message) -> None:
         r = msg.meta["round"]
         if r <= self.last_round.get(inst, 0) or r != self.round_id:

@@ -91,7 +91,7 @@ class UncoordinatedProtocol(Protocol):
 
     # -- data path ---------------------------------------------------------
     def on_send(self, t: float, inst: InstanceId, msg: Message) -> None:
-        if msg.kind is Kind.DATA and not self.sim.graph.ops[msg.channel[2]].is_sink:
+        if msg.kind is Kind.DATA and not msg.lane.to_sink:
             self.sim.msg_log.append(msg.channel, msg.seq, msg.record)
 
     # -- recovery ----------------------------------------------------------

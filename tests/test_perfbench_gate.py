@@ -35,3 +35,18 @@ def test_workload_matches_goldens(workload):
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0 and result["correct"], result
+
+
+def test_traced_hooks_see_every_call():
+    """The layer tracer wraps protocol, operator and log hooks on the
+    simulation's instances after construction; the simulator must still
+    call those wrappers for every message."""
+    proc = _bench("--workload", "q1-cic-w10", "--seconds", "1", "--trace", "1")
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0 and result["correct"], result
+    m = {name: v["value"] for name, v in result["metrics"].items()}
+    assert m["protocols.on_send_n"] == m["dataflow.simulator.data_msgs"] > 0
+    for name in ("dataflow.operators.process_n", "protocols.before_process_n",
+                 "dataflow.state.log_append_n"):
+        assert m[name] > 0, name

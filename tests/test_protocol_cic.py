@@ -1,9 +1,11 @@
 """Tests for the communication-induced (HMNR) protocol (paper §III-C)."""
 import pytest
 
-from helpers import run_cyclic, run_query
+from helpers import cyclic_workload, run_cyclic, run_query
+from repro.dataflow.kafka_sim import ReplayableLog
 from repro.dataflow.messages import Kind, Message
 from repro.dataflow.simulator import Simulation
+from repro.nexmark.cyclic import reachability_graph
 from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
 from repro.protocols import CICProtocol
@@ -38,6 +40,36 @@ class TestPiggyback:
         st = sim.protocol.states[("src_bids", 0)]
         assert isinstance(st.taken, int) and isinstance(st.ckpt, tuple)
 
+    @pytest.mark.parametrize("workload", ["q12", "cyclic"])
+    def test_piggyback_matches_live_state_at_every_send(self, workload):
+        """The cached piggyback is never stale: at every send it equals the
+        sender's live clock and vectors, across checkpoints, forced
+        checkpoints, merges and a recovery."""
+        if workload == "q12":
+            sim = cic_sim("q12")
+        else:
+            links, sources = cyclic_workload(deletions=True)
+            topics = {
+                "links": ReplayableLog.from_records("links", list(links), 4),
+                "sources": ReplayableLog.from_records("sources", list(sources), 4),
+            }
+            sim = Simulation(reachability_graph(), 4, CICProtocol(1.0), topics, seed=0)
+        proto, on_send, checked = sim.protocol, sim.protocol.on_send, []
+
+        def check(t, inst, msg):
+            on_send(t, inst, msg)
+            st = proto.states[inst]
+            live = (st.clock, st.ckpt, st.taken, st.greater, proto.inst_index[inst])
+            assert msg.piggyback == live, (t, inst)
+            checked.append(msg.piggyback)
+
+        proto.on_send = check
+        res = sim.run(5.0 if workload == "cyclic" else 10.0, fail_at=3.0)
+        assert len(checked) == res.telemetry.n_data_msgs > 0
+        assert res.telemetry.recovery["n_replay"] > 0
+        assert len({pb[0] for pb in checked}) > 3  # clocks moved during the run
+        assert len({id(pb) for pb in checked}) < len(checked) // 2  # and were reused
+
 
 class TestForcedCheckpoints:
     def _state_after(self, sim, inst):
@@ -66,8 +98,7 @@ class TestForcedCheckpoints:
         msg = Message(
             kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0), seq=1,
             record=None, payload_bytes=10,
-            piggyback={"clock": st.clock + 3, "ckpt": st.ckpt, "taken": 0,
-                       "greater": 0, "sender": s},
+            piggyback=(st.clock + 3, st.ckpt, 0, 0, s),
         )
         before = len(sim.store.checkpoints(inst))
         proto.before_process(0.5, inst, msg)
@@ -83,8 +114,7 @@ class TestForcedCheckpoints:
         msg = Message(
             kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0), seq=1,
             record=None, payload_bytes=10,
-            piggyback={"clock": proto.states[inst].clock + 3, "ckpt":
-                       proto.states[inst].ckpt, "taken": 0, "greater": 0, "sender": s},
+            piggyback=(proto.states[inst].clock + 3, proto.states[inst].ckpt, 0, 0, s),
         )
         before = len(sim.store.checkpoints(inst))
         proto.before_process(0.5, inst, msg)  # sent_to empty, taken empty
@@ -100,9 +130,7 @@ class TestForcedCheckpoints:
         msg = Message(
             kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0), seq=1,
             record=None, payload_bytes=10,
-            piggyback={"clock": proto.states[inst].clock + 1, "ckpt":
-                       proto.states[inst].ckpt, "taken": 1 << me, "greater": 0,
-                       "sender": s},
+            piggyback=(proto.states[inst].clock + 1, proto.states[inst].ckpt, 1 << me, 0, s),
         )
         before = len(sim.store.checkpoints(inst))
         proto.before_process(0.5, inst, msg)
@@ -117,8 +145,7 @@ class TestForcedCheckpoints:
         msg = Message(
             kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0), seq=1,
             record=None, payload_bytes=10,
-            piggyback={"clock": 7, "ckpt": proto.states[inst].ckpt, "taken": 0,
-                       "greater": 0, "sender": s},
+            piggyback=(7, proto.states[inst].ckpt, 0, 0, s),
         )
         proto.before_process(0.5, inst, msg)
         assert proto.states[inst].clock == 7
@@ -133,11 +160,30 @@ class TestForcedCheckpoints:
         msg = Message(
             kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0), seq=1,
             record=None, payload_bytes=10,
-            piggyback={"clock": 1, "ckpt": other, "taken": 0, "greater": 0,
-                       "sender": s},
+            piggyback=(1, other, 0, 0, s),
         )
         proto.before_process(0.5, inst, msg)
         assert proto.states[inst].ckpt[s] == 3
+
+    def test_ckpt_merge_not_skipped_for_a_new_tuple(self):
+        """Successive vectors from one sender are all merged, even when a
+        new tuple reuses the address of the previous, freed one."""
+        sim = cic_sim("q12")
+        proto = sim.protocol
+        inst = ("wincount", 0)
+        s = proto.inst_index[("src_bids", 1)]
+        for k in (3, 5, 7, 9):
+            ck = [0] * proto.n_instances
+            ck[s] = k
+            # tuple(list) takes an exact-size tuple, typically the one
+            # freed in the previous iteration
+            msg = Message(
+                kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0), seq=1,
+                record=None, payload_bytes=10, piggyback=(0, tuple(ck), 0, 0, s),
+            )
+            proto.before_process(0.5, inst, msg)
+            del msg
+        assert proto.states[inst].ckpt[s] == 9
 
     def test_replayed_message_without_piggyback_is_safe(self):
         sim = cic_sim("q12")

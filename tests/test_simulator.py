@@ -247,3 +247,57 @@ class TestSourceScheduling:
         sim = Simulation(QUERIES["q1"](), 1, NoneProtocol(), _bids([1.0, 3.0, 2.0]))
         with pytest.raises(ValueError, match="ingest-time order"):
             sim.run(4.0)
+
+
+class TestLanes:
+    @pytest.mark.parametrize("protocol", ["COOR", "UNC", "CIC"])
+    def test_resume_restores_lane_counters_and_drops_queued(self, protocol):
+        """At resume every lane holds the restored line's counters, and no
+        message queued before the failure is left to dispatch."""
+        topics = topics_for_query("q3", rate=400.0, duration=10.0, n_workers=W, seed=1)
+        sim = Simulation(QUERIES["q3"](), W, make_protocol(protocol, INTERVAL, INTERVAL),
+                         topics, seed=0)
+        proto, seen = sim.protocol, {}
+        plan_recovery, on_resume = proto.plan_recovery, proto.on_resume
+
+        def plan(t):
+            seen["queued"] = sum(len(ln.q) for ln in sim.lanes.values())
+            seen["plan"] = plan_recovery(t)
+            return seen["plan"]
+
+        def resume(t):
+            t_fail = sim.telemetry.recovery["t_fail"]
+            for inst, idx in seen["plan"].line.items():
+                meta = sim.store.get(inst, idx).meta
+                assert {ch: sim.lanes[ch].sent for ch in meta.last_sent} == meta.last_sent
+                assert {ch: sim.lanes[ch].recv for ch in meta.last_recv} == meta.last_recv
+            assert all(m.arr > t_fail for ln in sim.lanes.values() for m in ln.q)
+            seen["resumed"] = True
+            on_resume(t)
+
+        proto.plan_recovery, proto.on_resume = plan, resume
+        res = sim.run(10.0, fail_at=FAIL_AT)
+        assert seen["resumed"] and res.telemetry.recovery["t_resume"] > FAIL_AT
+        assert seen["queued"] == 0  # the failure emptied every lane
+
+    def test_message_lane_is_its_channel(self):
+        sim = tiny()
+        sent = []
+        on_send = sim.protocol.on_send
+
+        def record(t, inst, msg):
+            sent.append(msg)
+            on_send(t, inst, msg)
+
+        sim.protocol.on_send = record
+        sim.run(4.0)
+        assert sent and all(sim.lanes[m.channel] is m.lane for m in sent)
+        assert all(m.lane.inst == (m.channel[2], m.channel[3]) for m in sent)
+        assert all(m.lane.to_sink == (m.channel[2] in sim.sinks) for m in sent)
+
+    def test_seq_views_are_read_only(self):
+        sim = tiny()
+        sim.run(4.0)
+        assert sim.sent_seq and sim.recv_seq
+        with pytest.raises(TypeError):
+            sim.sent_seq[next(iter(sim.sent_seq))] = 0
