@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 from typing import Dict, Optional
 
-from repro.dataflow.simulator import Simulation
+from repro.dataflow.simulator import Simulation, gc_paused
 from repro.nexmark.cyclic import cyclic_topics, reachability_graph
 from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
@@ -83,25 +83,27 @@ def make_protocol(name: str, interval: float, round_interval: float) -> Protocol
 
 def build(cfg: ExperimentConfig) -> Simulation:
     """Materialise a configured simulation (graph + topics + protocol).
-    The cyclic query always runs the paper's deletion mix (Table IV)."""
-    if cfg.query == "cyclic":
-        graph = reachability_graph()
-        topics = cyclic_topics(
-            rate=cfg.rate,
-            duration=cfg.duration,
-            n_workers=cfg.workers,
-            seed=cfg.seed,
-            n_nodes=cfg.n_nodes,
-        )
-    else:
-        graph = QUERIES[cfg.query]()
-        topics = topics_for_query(
-            cfg.query,
-            rate=cfg.rate,
-            duration=cfg.duration,
-            n_workers=cfg.workers,
-            seed=cfg.seed,
-            hot_ratio=cfg.hot_ratio,
-        )
-    protocol = make_protocol(cfg.protocol, UNC_INTERVALS[cfg.query], cfg.coor_interval)
-    return Simulation(graph, cfg.workers, protocol, topics, seed=cfg.seed)
+    The cyclic query always runs the paper's deletion mix (Table IV). The
+    cyclic garbage collector is paused meanwhile (see ``gc_paused``)."""
+    with gc_paused():
+        if cfg.query == "cyclic":
+            graph = reachability_graph()
+            topics = cyclic_topics(
+                rate=cfg.rate,
+                duration=cfg.duration,
+                n_workers=cfg.workers,
+                seed=cfg.seed,
+                n_nodes=cfg.n_nodes,
+            )
+        else:
+            graph = QUERIES[cfg.query]()
+            topics = topics_for_query(
+                cfg.query,
+                rate=cfg.rate,
+                duration=cfg.duration,
+                n_workers=cfg.workers,
+                seed=cfg.seed,
+                hot_ratio=cfg.hot_ratio,
+            )
+        protocol = make_protocol(cfg.protocol, UNC_INTERVALS[cfg.query], cfg.coor_interval)
+        return Simulation(graph, cfg.workers, protocol, topics, seed=cfg.seed)

@@ -111,20 +111,26 @@ class LogicalGraph:
     def has_cycle(self) -> bool:
         """True if the graph has a directed cycle (e.g. the reachability
         query's feedback edge). COOR refuses such graphs (paper §VII)."""
-        color: Dict[str, int] = {}
-
-        def visit(n: str) -> bool:
-            color[n] = 1
-            for e in self.out_edges(n):
-                c = color.get(e.dst, 0)
-                if c == 1:
-                    return True
-                if c == 0 and visit(e.dst):
-                    return True
-            color[n] = 2
-            return False
-
-        return any(color.get(n, 0) == 0 and visit(n) for n in self.ops)
+        color: Dict[str, int] = {}  # 1 = on the DFS path, 2 = done
+        for root in self.ops:
+            if color.get(root, 0):
+                continue
+            color[root] = 1
+            path = [(root, iter(self.out_edges(root)))]
+            while path:
+                node, edges = path[-1]
+                for e in edges:
+                    c = color.get(e.dst, 0)
+                    if c == 1:
+                        return True
+                    if c == 0:
+                        color[e.dst] = 1
+                        path.append((e.dst, iter(self.out_edges(e.dst))))
+                        break
+                else:
+                    color[node] = 2
+                    path.pop()
+        return False
 
     def validate(self) -> "LogicalGraph":
         if not self.sources():

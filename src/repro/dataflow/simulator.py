@@ -51,6 +51,14 @@ fixed by the rules above):
   outbox order as messages join it. ``sent_seq``/``recv_seq`` are
   read-only views. Protocol and operator hooks are looked up when called,
   so wrappers installed after construction take effect.
+- Memory model: nothing here forms a reference cycle once ``run`` has
+  dropped the two pointers back into the simulation (``protocol.sim`` and
+  the lanes' routing tables), so reference counting frees it whole.
+  ``core.config.build`` and ``run`` therefore run under ``gc_paused``: the
+  cyclic collector would only re-scan the long-lived topic records, state,
+  snapshots and message log. ``TestMemoryModel`` in the simulator tests
+  checks that build, run and drop leave no cyclic garbage, which is what
+  makes the pause safe.
 
 Each run fact is kept once: the sink output in ``sinks`` (uid -> value per
 sink, first arrival wins), a checkpoint's metadata in the ``store`` (the
@@ -60,8 +68,10 @@ counted ones also listed, as the same objects, in
 """
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional
@@ -85,6 +95,20 @@ from .telemetry import Telemetry
 
 _SRC = "__src__"
 _COORD = "__coord__"
+
+
+@contextmanager
+def gc_paused():
+    """Run the block with the cyclic garbage collector disabled, and enable
+    it again afterwards only if it was enabled on entry, so nested use and
+    callers that disabled it themselves keep their state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _Lane:
@@ -559,6 +583,35 @@ class Simulation:
         message has been processed, so latency tails and recovery behaviour
         are fully observed.
         """
+        with gc_paused():
+            try:
+                self._loop(duration, fail_at, max_events)
+            finally:
+                # a simulation runs once: drop the pointers back into it, so
+                # that reference counting alone frees it
+                self.protocol.sim = None
+                for lane in self.lanes.values():
+                    lane.routes = ()
+
+            fingerprints = {
+                inst: op.state_fingerprint()
+                for inst, op in self.instances.items()
+                if self.graph.ops[inst[0]].stateful
+            }
+            return SimResult(
+                telemetry=self.telemetry,
+                sink_results=self.sinks,
+                duration=self.now,
+                n_dedup_drops=self.n_dedup_drops,
+                n_duplicate_sink_arrivals=self.n_dup_sink,
+                state_fingerprints=fingerprints,
+                store=self.store,
+                protocol_name=self.protocol.name,
+            )
+
+    def _loop(self, duration: float, fail_at: Optional[float], max_events: int) -> None:
+        """The event loop of :meth:`run`: pop and handle events until the
+        heap is empty."""
         self.horizon = duration
         for inst in self.cursors:
             self._schedule_source_records(inst, 0.0)
@@ -619,19 +672,3 @@ class Simulation:
                 self._resume(t, data)
             else:  # pragma: no cover
                 raise AssertionError(kind)
-
-        fingerprints = {
-            inst: op.state_fingerprint()
-            for inst, op in self.instances.items()
-            if self.graph.ops[inst[0]].stateful
-        }
-        return SimResult(
-            telemetry=self.telemetry,
-            sink_results=self.sinks,
-            duration=self.now,
-            n_dedup_drops=self.n_dedup_drops,
-            n_duplicate_sink_arrivals=self.n_dup_sink,
-            state_fingerprints=fingerprints,
-            store=self.store,
-            protocol_name=self.protocol.name,
-        )

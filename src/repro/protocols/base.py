@@ -68,15 +68,16 @@ class Protocol:
     blocked: AbstractSet[Channel] = frozenset()
 
     def __init__(self):
-        self.sim = None  # set by bind()
+        self.sim = None  # set by bind(), cleared when the run ends
 
     def bind(self, sim) -> None:
-        """Attach to a simulator; validate topology support."""
-        self.sim = sim
+        """Attach to a simulator; validate topology support. The simulator
+        sets ``sim`` back to None when its run ends."""
         if not self.supports_cycles and sim.graph.has_cycle():
             raise UnsupportedTopologyError(
                 f"{self.name} cannot checkpoint cyclic dataflow graphs"
             )
+        self.sim = sim
 
     # -- lifecycle ---------------------------------------------------------
     def on_start(self) -> None:

@@ -19,6 +19,7 @@ so the recovery line is well defined on every channel.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 
 from repro.dataflow.messages import CKPT_META_BYTES, InstanceId, Kind, Message
@@ -60,21 +61,21 @@ class UncoordinatedProtocol(Protocol):
         rng = self.sim.rng
         for inst, period in self._period.items():
             first = period * (0.25 + 0.75 * rng.random())
-            self.sim.call_at(first, self._make_timer(inst))
+            self.sim.call_at(first, partial(self._fire, inst))
 
     def on_resume(self, t: float) -> None:
         rng = self.sim.rng
         for inst, period in self._period.items():
-            self.sim.call_at(t + period * (0.25 + 0.75 * rng.random()), self._make_timer(inst))
+            self.sim.call_at(t + period * (0.25 + 0.75 * rng.random()), partial(self._fire, inst))
 
-    def _make_timer(self, inst: InstanceId):
-        def fire(t: float) -> None:
-            if t >= self.sim.horizon:
-                return  # workload over: stop checkpointing, let the run drain
-            self.on_local_checkpoint(inst)
-            self.sim.call_at(t + self._period[inst], fire)
-
-        return fire
+    def _fire(self, inst: InstanceId, t: float) -> None:
+        """``inst``'s checkpoint timer: checkpoint and re-arm. Timers are
+        ``partial``s of this bound method so that no timer forms a
+        reference cycle."""
+        if t >= self.sim.horizon:
+            return  # workload over: stop checkpointing, let the run drain
+        self.on_local_checkpoint(inst)
+        self.sim.call_at(t + self._period[inst], partial(self._fire, inst))
 
     def checkpoint_extra_duration(self, inst: InstanceId) -> float:
         """Protocol-state persistence time on top of the state snapshot

@@ -1,15 +1,17 @@
 """Tests for the discrete-event simulator's core mechanics."""
+import gc
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from helpers import FAIL_AT, INTERVAL, W, run_cyclic, run_query
-from repro.core.config import make_protocol
+from repro.core.config import ExperimentConfig, build, make_protocol
+from repro.core.mst import measure_mst
 from repro.dataflow.costs import SimCost
 from repro.dataflow.kafka_sim import ReplayableLog
 from repro.dataflow.messages import Record
-from repro.dataflow.simulator import Simulation
+from repro.dataflow.simulator import Simulation, gc_paused
 from repro.nexmark.cyclic import reachability_graph
 from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
@@ -301,3 +303,91 @@ class TestLanes:
         assert sim.sent_seq and sim.recv_seq
         with pytest.raises(TypeError):
             sim.sent_seq[next(iter(sim.sent_seq))] = 0
+
+
+#: every (query, protocol) pair the simulator runs, each without and (if
+#: the protocol can recover) with a failure
+_MEMORY_CASES = [
+    (query, protocol, fail_at)
+    for query in ("q1", "q3", "q8", "q12", "cyclic")
+    for protocol in ("none", "COOR", "UNC", "CIC")
+    if not (query == "cyclic" and protocol == "COOR")
+    for fail_at in ((None,) if protocol == "none" else (None, 3.5))
+]
+
+
+def _small_cfg(query, protocol, fail_at=None):
+    return ExperimentConfig(query=query, protocol=protocol, workers=2,
+                            rate=100.0 if query == "cyclic" else 300.0, duration=6.0,
+                            fail_at=fail_at, seed=3, coor_interval=1.5, n_nodes=500)
+
+
+def _cycles_left_by(work) -> int:
+    """Unreachable objects in reference cycles that ``work()`` leaves
+    behind. It runs with the collector disabled, so no automatic collection
+    frees a cycle before it is counted."""
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestMemoryModel:
+    """Build, run and drop leave no reference cycle, which is what makes
+    pausing the cyclic collector in ``build`` and ``run`` safe."""
+
+    @pytest.mark.parametrize("query,protocol,fail_at", _MEMORY_CASES)
+    def test_build_run_drop_leaves_no_cyclic_garbage(self, query, protocol, fail_at):
+        cfg = _small_cfg(query, protocol, fail_at)
+        assert _cycles_left_by(lambda: build(cfg).run(cfg.duration, fail_at=cfg.fail_at)) == 0
+
+    @pytest.mark.parametrize("query,protocol", [("q8", "COOR"), ("cyclic", "CIC")])
+    def test_cold_mst_probe_leaves_no_cyclic_garbage(self, query, protocol):
+        measure_mst.cache_clear()
+        assert _cycles_left_by(lambda: measure_mst(query, protocol, 2)) == 0
+
+
+def _raise_max_events():
+    tiny().run(4.0, max_events=10)
+
+
+def _raise_out_of_order():
+    Simulation(QUERIES["q1"](), 1, NoneProtocol(), _bids([1.0, 3.0, 2.0])).run(4.0)
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The collector's state on entry: enabled, or disabled by the caller."""
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    gc.enable()
+
+
+class TestCollectorState:
+    """``build`` and ``run`` pause the cyclic collector and leave it as they
+    found it: enabled again, or still disabled by the caller."""
+
+    def test_build_and_run_restore_it(self, collector):
+        cfg = _small_cfg("q3", "UNC", 3.5)
+        sim = build(cfg)
+        assert gc.isenabled() == collector
+        sim.run(cfg.duration, fail_at=cfg.fail_at)
+        assert gc.isenabled() == collector
+
+    @pytest.mark.parametrize("run, error", [(_raise_max_events, RuntimeError),
+                                            (_raise_out_of_order, ValueError)],
+                             ids=["max_events", "out_of_order"])
+    def test_a_run_that_raises_restores_it(self, collector, run, error):
+        with pytest.raises(error):
+            run()
+        assert gc.isenabled() == collector
+
+    def test_nested_pauses_restore_it_on_the_outermost_exit(self, collector):
+        with gc_paused():
+            with gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() == collector
