@@ -62,9 +62,9 @@ class Message:
     ``seq`` is the per-channel FIFO sequence number assigned at send time;
     UNC/CIC use it for message logging, dedup and orphan detection. On a
     source channel it is the record's partition offset.
-    ``payload_bytes`` is the workload payload size; ``proto_bytes`` is
-    protocol overhead riding on this message (marker size, CIC piggyback).
-    ``lane`` is the simulator's record of ``channel``.
+    ``lane`` is the simulator's record of the channel the message travels
+    on; ``lane.ch`` is the channel tuple. ``proto_bytes`` is protocol
+    overhead riding on this message (marker size, CIC piggyback).
     ``piggyback`` carries CIC's ``(clock, ckpt, taken, greater, sender
     index)`` tuple when present.
     ``meta`` is set only on COOR markers and coordinator triggers (round
@@ -73,13 +73,10 @@ class Message:
     """
 
     kind: Kind
-    channel: Channel
     seq: int
     record: Optional[Record]
-    payload_bytes: int
-    lane: Any = None
+    lane: Any
     proto_bytes: int = 0
-    send_ts: float = 0.0
     piggyback: Optional[tuple] = None
     meta: Optional[dict] = None
     arr: float = 0.0

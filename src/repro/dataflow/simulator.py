@@ -39,18 +39,19 @@ fixed by the rules above):
   every counter value and every result are those of eager scheduling,
   while the heap holds O(sources + in-flight) events and resume costs
   O(sources). An out-of-order partition raises ``ValueError``.
-- Every channel is one slotted ``_Lane``, built once at construction: its
-  sent and processed seqs, arrival queue and ready flag, and its receiver
-  (instance id, operator object, service time, routing table, source
-  cursor, to-sink flag). A routing table gives, per outgoing edge, the
-  fixed target lane (sink and forward edges) or the lane per target index.
-  Messages carry their lane and the per-worker head heaps hold lanes keyed
-  ``(arrival, counter, lane)`` with unique counters, so the per-message
-  path hashes no channel tuple and never compares a lane. COOR's
-  ``blocked`` set is read directly; a dispatch's send cost is summed in
-  outbox order as messages join it. ``sent_seq``/``recv_seq`` are
-  read-only views. Protocol and operator hooks are looked up when called,
-  so wrappers installed after construction take effect.
+- Every channel is one slotted ``_Lane``, built once at construction, and
+  the lane is the channel's only in-memory record: its sent and processed
+  seqs, arrival queue, ready flag and COOR ``blocked`` flag, and its
+  receiver (instance id, operator object, service time, routing table,
+  source cursor, to-sink flag). Channel tuples (``lane.ch``) remain only
+  as the keys of checkpoint counters and the message log. A routing table
+  gives, per outgoing edge, the fixed target lane (sink and forward edges)
+  or the lane per target index. Messages carry their lane and the
+  per-worker head heaps hold lanes keyed ``(arrival, counter, lane)`` with
+  unique counters, so the per-message path hashes no channel tuple and
+  never compares a lane. A dispatch's send cost is summed in outbox order
+  as messages join it. Protocol and operator hooks are looked up when
+  called, so wrappers installed after construction take effect.
 - Memory model: nothing here forms a reference cycle once ``run`` has
   dropped the two pointers back into the simulation (``protocol.sim`` and
   the lanes' routing tables), so reference counting frees it whole.
@@ -73,8 +74,7 @@ import heapq
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -113,19 +113,21 @@ def gc_paused():
 
 class _Lane:
     """One channel and its receiver. ``sent``/``recv`` are the last sent and
-    processed seqs, ``q`` the arrival queue, and ``ready`` is True while the
-    lane has an entry in its worker's head heap. ``cursor`` is set on source
-    lanes only; ``routes`` is the receiver's routing table."""
+    processed seqs, ``q`` the arrival queue, ``ready`` is True while the
+    lane has an entry in its worker's head heap, and ``blocked`` is True
+    while COOR holds the lane for alignment (it is not dispatched).
+    ``cursor`` is set on source lanes only; ``routes`` is the receiver's
+    routing table."""
 
-    __slots__ = ("ch", "w", "sent", "recv", "q", "ready", "inst", "op", "service",
-                 "routes", "cursor", "to_sink")
+    __slots__ = ("ch", "w", "sent", "recv", "q", "ready", "blocked", "inst", "op",
+                 "service", "routes", "cursor", "to_sink")
 
     def __init__(self, ch: Channel, op: Any, service: float, cursor, to_sink: bool):
         self.ch, self.w, self.inst, self.op = ch, ch[3], (ch[2], ch[3]), op
         self.service, self.cursor, self.to_sink = service, cursor, to_sink
         self.sent = self.recv = 0
         self.q: deque = deque()
-        self.ready = False
+        self.ready = self.blocked = False
         self.routes: tuple = ()
 
 
@@ -141,7 +143,6 @@ class SimResult:
     n_duplicate_sink_arrivals: int
     state_fingerprints: Dict[InstanceId, Any]
     store: CheckpointStore
-    protocol_name: str
 
     def sink_values(self, sink: Optional[str] = None) -> Dict[str, Any]:
         if sink is None:
@@ -200,9 +201,9 @@ class Simulation:
                                             service[ch[2]], cursor, ch[2] in self.sinks)
             return ln
 
-        #: the lanes each instance sends / receives on, in edge order
-        self._out_lanes: Dict[InstanceId, List[_Lane]] = {i: [] for i in self.instances}
-        self._in_lanes: Dict[InstanceId, List[_Lane]] = {i: [] for i in self.instances}
+        #: every lane each instance sends / receives on, in edge order
+        self.out_lanes: Dict[InstanceId, List[_Lane]] = {i: [] for i in self.instances}
+        self.in_lanes: Dict[InstanceId, List[_Lane]] = {i: [] for i in self.instances}
         #: inst -> ((edge, fixed target lanes or None, lane per target
         #: index), ...) over the op's outgoing edges; targets are fixed on
         #: sink edges and plain forward edges, else ``edge.route`` picks
@@ -219,8 +220,8 @@ class Simulation:
                     targets = tuple(lane((e.src, i, e.dst, j)) for j in range(n_workers))
                 for ln in fixed or targets:
                     if not ln.to_sink:
-                        self._in_lanes[ln.inst].append(ln)
-                self._out_lanes[(e.src, i)].extend(fixed or targets)
+                        self.in_lanes[ln.inst].append(ln)
+                self.out_lanes[(e.src, i)].extend(fixed or targets)
                 routes[(e.src, i)].append((e, fixed, targets))
         for inst, cur in self.cursors.items():
             lane((_SRC, 0) + inst, cur)
@@ -228,9 +229,6 @@ class Simulation:
         tables = {inst: tuple(table) for inst, table in routes.items()}
         for ln in self.lanes.values():
             ln.routes = tables.get(ln.inst, ())
-        #: every channel an instance can send / receive on, in edge order
-        self.out_channels = {i: [ln.ch for ln in ls] for i, ls in self._out_lanes.items()}
-        self.in_channels = {i: [ln.ch for ln in ls] for i, ls in self._in_lanes.items()}
 
         # --- worker state --------------------------------------------------
         self.busy_until = [0.0] * n_workers
@@ -256,17 +254,6 @@ class Simulation:
             self._store_checkpoint(inst, kind="initial", round_id=None, ts=0.0)
 
         self.protocol.bind(self)
-        self._blocked = protocol.blocked
-
-    @property
-    def sent_seq(self) -> Mapping[Channel, int]:
-        """Last sent seq of every channel that has one (read-only)."""
-        return MappingProxyType({ch: ln.sent for ch, ln in self.lanes.items() if ln.sent})
-
-    @property
-    def recv_seq(self) -> Mapping[Channel, int]:
-        """Last processed seq of every channel that has one (read-only)."""
-        return MappingProxyType({ch: ln.recv for ch, ln in self.lanes.items() if ln.recv})
 
     # ------------------------------------------------------------------ util
     def _push(self, t: float, kind: str, data: Any, epoch_exempt: bool = False) -> None:
@@ -290,16 +277,7 @@ class Simulation:
         §VII-B, skewed NexMark).
         """
         lane = self.lanes[(_COORD, 0) + inst]
-        msg = Message(
-            kind=Kind.MARKER,
-            channel=lane.ch,
-            seq=0,
-            record=None,
-            payload_bytes=0,
-            meta={**meta, "trigger": True},
-            lane=lane,
-        )
-        self._enqueue(self.now, msg)
+        self._enqueue(self.now, Message(Kind.MARKER, 0, None, lane, meta={**meta, "trigger": True}))
 
     # --------------------------------------------------------------- sources
     def _schedule_source_records(self, inst: InstanceId, t_floor: float) -> None:
@@ -320,15 +298,15 @@ class Simulation:
         lane = msg.lane
         msg.arr = t
         lane.q.append(msg)
-        if not lane.ready and not (self._blocked and lane.ch in self._blocked):
+        if not lane.ready and not lane.blocked:
             lane.ready = True
             heapq.heappush(self.heads[lane.w], (t, self._counter, lane))
             self._counter += 1
             self._dispatch(lane.w, t)
 
-    def unblock_channel(self, ch: Channel) -> None:
-        """Called by COOR when alignment completes for a channel."""
-        lane = self.lanes[ch]
+    def unblock(self, lane: _Lane) -> None:
+        """Called by COOR when alignment completes for a lane."""
+        lane.blocked = False
         if lane.q and not lane.ready:
             lane.ready = True
             heapq.heappush(self.heads[lane.w], (lane.q[0].arr, self._counter, lane))
@@ -339,13 +317,13 @@ class Simulation:
     def _dispatch(self, w: int, t: float) -> None:
         if self.failed or self.current[w] is not None or self.busy_until[w] > t:
             return
-        heads, blocked = self.heads[w], self._blocked
+        heads = self.heads[w]
         while heads:
             lane = heapq.heappop(heads)[2]
             if not lane.ready:
                 continue
             q = lane.q
-            if not q or (blocked and lane.ch in blocked):
+            if not q or lane.blocked:
                 lane.ready = False
                 continue
             msg = q.popleft()
@@ -365,7 +343,7 @@ class Simulation:
     def _process(self, w: int, lane: _Lane, msg: Message, t: float) -> Optional[float]:
         outbox = self._outbox = []
         self._extra_service = self._send_cost = 0.0
-        # reentrancy guard: protocol hooks (unblock_channel) may try to
+        # reentrancy guard: protocol hooks (unblock) may try to
         # re-dispatch this worker while we are mid-process
         self.current[w] = outbox
 
@@ -405,7 +383,7 @@ class Simulation:
         for edge, fixed, targets in lane.routes:
             for out in fixed or [targets[j] for j in edge.route(rec, inst[1], self.W)]:
                 out.sent += 1
-                msg = Message(Kind.DATA, out.ch, out.sent, rec, payload, out, 0, t)
+                msg = Message(Kind.DATA, out.sent, rec, out)
                 on_send(t, inst, msg)
                 n += 1
                 piggyback += msg.proto_bytes
@@ -425,20 +403,10 @@ class Simulation:
         numbers; channel-FIFO relative to data holds because arrival times
         are monotone in send times.
         """
-        for lane in self._out_lanes[inst]:
+        for lane in self.out_lanes[inst]:
             if lane.to_sink:
                 continue
-            msg = Message(
-                kind=Kind.MARKER,
-                channel=lane.ch,
-                seq=lane.sent,
-                record=None,
-                payload_bytes=0,
-                proto_bytes=MARKER_BYTES,
-                send_ts=self.now,
-                meta={"round": round_id},
-                lane=lane,
-            )
+            msg = Message(Kind.MARKER, lane.sent, None, lane, MARKER_BYTES, meta={"round": round_id})
             self.telemetry.n_marker_msgs += 1
             self._send_cost += self.cost.serialize_per_byte * MARKER_BYTES
             self._outbox.append(msg)
@@ -459,8 +427,8 @@ class Simulation:
             kind=kind,
             round_id=round_id,
             state_bytes=sb,
-            last_sent={ln.ch: ln.sent for ln in self._out_lanes[inst]},
-            last_recv={ln.ch: ln.recv for ln in self._in_lanes[inst]},
+            last_sent={ln.ch: ln.sent for ln in self.out_lanes[inst]},
+            last_recv={ln.ch: ln.recv for ln in self.in_lanes[inst]},
             source_offset=self.cursors[inst].snapshot() if spec.is_source else None,
             duration=self.cost.snapshot_time(sb) + extra_duration,
         )
@@ -498,7 +466,9 @@ class Simulation:
         self.epoch += 1
         for lane in self.lanes.values():
             lane.q.clear()
-            lane.ready = False
+            # an in-flight COOR round dies with the failure: nothing
+            # dispatches before recovery resumes, so no lane stays held
+            lane.ready = lane.blocked = False
         self.heads = [[] for _ in range(self.W)]
         self.current = [None] * self.W
         self.busy_until = [t] * self.W
@@ -543,18 +513,11 @@ class Simulation:
             self._schedule_source_records(inst, t + 1e-6)
         k = 0
         for ch in sorted(plan.replay.keys()):
+            lane = self.lanes[ch]
             for seq, rec in plan.replay[ch]:
-                msg = Message(
-                    kind=Kind.DATA,
-                    channel=ch,
-                    seq=seq,
-                    record=rec,
-                    payload_bytes=payload_bytes_for(rec),
-                    send_ts=t,
-                    lane=self.lanes[ch],
-                )
                 k += 1
-                self._push(t + self.cost.channel_latency + k * 1e-7, "arrive", msg)
+                self._push(t + self.cost.channel_latency + k * 1e-7, "arrive",
+                           Message(Kind.DATA, seq, rec, lane))
         self.telemetry.recovery["t_resume"] = t
         self.protocol.on_resume(t)
 
@@ -606,7 +569,6 @@ class Simulation:
                 n_duplicate_sink_arrivals=self.n_dup_sink,
                 state_fingerprints=fingerprints,
                 store=self.store,
-                protocol_name=self.protocol.name,
             )
 
     def _loop(self, duration: float, fail_at: Optional[float], max_events: int) -> None:
@@ -643,7 +605,7 @@ class Simulation:
                             f"ingest-time order at offset {nxt}"
                         )
                     heappush(heap, (t_next, base + nxt, "src", epoch, (src, nxt)))
-                self._enqueue(t, Message(Kind.DATA, lane.ch, off, part[off], 0, lane))
+                self._enqueue(t, Message(Kind.DATA, off, part[off], lane))
             elif kind == "arrive":
                 if not self.failed:
                     self._enqueue(t, data)

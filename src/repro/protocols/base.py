@@ -10,7 +10,7 @@ the paper's Table I.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.dataflow.messages import Channel, InstanceId, Message
 
@@ -62,10 +62,6 @@ class Protocol:
         "forced_checkpoints": False,
     }
     supports_cycles = True
-    #: COOR alignment: channels waiting for other markers, which the
-    #: simulator does not dispatch; it holds this set from ``bind`` on, so
-    #: a protocol changes it in place
-    blocked: AbstractSet[Channel] = frozenset()
 
     def __init__(self):
         self.sim = None  # set by bind(), cleared when the run ends

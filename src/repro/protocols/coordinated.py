@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from repro.dataflow.messages import Channel, InstanceId, Message
+from repro.dataflow.messages import InstanceId, Message
 
 from .base import Protocol, RecoveryPlan
 
@@ -31,9 +31,9 @@ class CoordinatedProtocol(Protocol):
         super().__init__()
         self.round_interval = round_interval
         self.round_id = 0
-        self.blocked: Set[Channel] = set()
-        #: inst -> set of channels whose marker for the current round arrived
-        self.aligning: Dict[InstanceId, Set[Channel]] = {}
+        #: inst -> the lanes whose marker for the current round arrived;
+        #: each stays ``blocked`` until the instance has aligned
+        self.aligning: Dict[InstanceId, Set] = {}
         #: inst -> last round this instance snapshotted
         self.last_round: Dict[InstanceId, int] = {}
         #: round -> {inst: checkpoint index}
@@ -45,17 +45,15 @@ class CoordinatedProtocol(Protocol):
 
     def bind(self, sim) -> None:
         super().bind(sim)
-        self.participants = [
-            inst for inst in sim.instances if not sim.graph.ops[inst[0]].is_sink
-        ]
+        self.participants = list(sim.instances)
 
     # -- round lifecycle ---------------------------------------------------
     def on_start(self) -> None:
         self.sim.call_at(self.round_interval, self._start_round)
 
     def on_resume(self, t: float) -> None:
-        # an in-flight round died with the failure: reset alignment state
-        self.blocked.clear()
+        # an in-flight round died with the failure (the simulator has
+        # already released its lanes): reset alignment state
         self.aligning.clear()
         self.sim.call_at(t + self.round_interval, self._start_round)
 
@@ -96,27 +94,26 @@ class CoordinatedProtocol(Protocol):
         r = msg.meta["round"]
         if r <= self.last_round.get(inst, 0) or r != self.round_id:
             return  # marker of a superseded (pre-failure) round
-        in_channels = self.sim.in_channels[inst]  # none at a source
+        in_lanes = self.sim.in_lanes[inst]  # none at a source
         if not msg.meta.get("trigger"):  # a coordinator trigger needs no alignment
             got = self.aligning.setdefault(inst, set())
-            got.add(msg.channel)
-            self.blocked.add(msg.channel)
-            if len(got) < len(in_channels):
+            got.add(msg.lane)
+            msg.lane.blocked = True
+            if len(got) < len(in_lanes):
                 return
             del self.aligning[inst]
         meta = self.sim.take_checkpoint(inst, "coordinated", round_id=r)
         self.round_members[r][inst] = meta.index
         self.last_round[inst] = r
         self.sim.emit_marker(inst, r)
-        for ch in in_channels:
-            self.blocked.discard(ch)
-            self.sim.unblock_channel(ch)
+        for lane in in_lanes:
+            self.sim.unblock(lane)
         self._maybe_complete(r, t)
 
     def counts_in_totals(self, inst) -> bool:
         """COOR: every aligned participant's snapshot counts (the paper's
         Table III totals are rounds x participating instances)."""
-        return not self.sim.graph.ops[inst[0]].is_sink
+        return True
 
     # -- recovery ----------------------------------------------------------
     def plan_recovery(self, t_detect: float) -> RecoveryPlan:

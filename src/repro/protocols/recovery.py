@@ -15,6 +15,10 @@ algorithm* (paper Algorithm 1):
   other root checkpoints, replaces marked ones with the next-older
   checkpoint of the same instance, and repeats until no root checkpoint is
   marked. The result is the most recent consistent recovery line.
+
+The channels come from the checkpoints themselves: every checkpoint, the
+initial one included, records each of its instance's out channels as a
+``last_sent`` key, so the store alone defines the graph.
 """
 from __future__ import annotations
 
@@ -22,16 +26,14 @@ import bisect
 from collections import deque
 from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.dataflow.messages import Channel, InstanceId
+from repro.dataflow.messages import InstanceId
 from repro.dataflow.state import CheckpointStore
 
 Node = Tuple[InstanceId, int]
 
 
 def build_checkpoint_graph(
-    store: CheckpointStore,
-    instances: List[InstanceId],
-    out_channels: Dict[InstanceId, List[Channel]],
+    store: CheckpointStore, instances: List[InstanceId]
 ) -> Dict[Node, List[Node]]:
     """Adjacency list of the checkpoint graph over all stored checkpoints."""
     adj: Dict[Node, List[Node]] = {}
@@ -45,7 +47,7 @@ def build_checkpoint_graph(
             adj[(inst, x)].append((inst, x + 1))
     for inst in instances:
         ms = metas[inst]
-        for ch in out_channels[inst]:
+        for ch in ms[0].last_sent:  # the initial checkpoint lists them all
             dst: InstanceId = (ch[2], ch[3])
             if dst not in inst_set:
                 continue  # sinks are external, never checkpoint
@@ -105,7 +107,6 @@ def rollback_propagation(
 def find_recovery_line(
     store: CheckpointStore,
     instances: List[InstanceId],
-    out_channels: Dict[InstanceId, List[Channel]],
     counted: Iterable[InstanceId],
 ) -> Tuple[Dict[InstanceId, int], int, int]:
     """Compute the recovery line.
@@ -115,7 +116,7 @@ def find_recovery_line(
     can no longer be part of any consistent recovery line — paper Table III
     counts these) over the ``counted`` instances.
     """
-    adj = build_checkpoint_graph(store, instances, out_channels)
+    adj = build_checkpoint_graph(store, instances)
     latest = {inst: len(store.checkpoints(inst)) - 1 for inst in instances}
     line = rollback_propagation(adj, latest)
     invalid = sum(latest[i] - line[i] for i in counted)

@@ -53,8 +53,6 @@ class UncoordinatedProtocol(Protocol):
         super().bind(sim)
         rng = sim.rng
         for inst in sim.instances:
-            if sim.graph.ops[inst[0]].is_sink:
-                continue
             self._period[inst] = self.interval * (1.0 + JITTER * (2 * rng.random() - 1))
 
     def on_start(self) -> None:
@@ -93,26 +91,23 @@ class UncoordinatedProtocol(Protocol):
     # -- data path ---------------------------------------------------------
     def on_send(self, t: float, inst: InstanceId, msg: Message) -> None:
         if msg.kind is Kind.DATA and not msg.lane.to_sink:
-            self.sim.msg_log.append(msg.channel, msg.seq, msg.record)
+            self.sim.msg_log.append(msg.lane.ch, msg.seq, msg.record)
 
     # -- recovery ----------------------------------------------------------
     def plan_recovery(self, t_detect: float) -> RecoveryPlan:
         sim = self.sim
         instances = list(sim.instances.keys())
         line, invalid, scanned = find_recovery_line(
-            sim.store, instances, sim.out_channels,
-            counted=[i for i in instances if self.counts_in_totals(i)],
+            sim.store, instances, counted=[i for i in instances if self.counts_in_totals(i)],
         )
         replay = {}
         for inst in instances:
             a_meta = sim.store.get(inst, line[inst]).meta
-            for ch in sim.out_channels[inst]:
+            for ch, upto in a_meta.last_sent.items():  # every out channel of inst
                 dst = (ch[2], ch[3])
                 if dst not in sim.instances:
                     continue  # external sink: in-flight messages still arrive
-                b_meta = sim.store.get(dst, line[dst]).meta
-                after = b_meta.last_recv.get(ch, 0)
-                upto = a_meta.last_sent.get(ch, 0)
+                after = sim.store.get(dst, line[dst]).meta.last_recv.get(ch, 0)
                 if upto > after:
                     msgs = sim.msg_log.replay_range(ch, after, upto)
                     if msgs:

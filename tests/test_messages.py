@@ -56,10 +56,9 @@ class TestMessage:
     def _msg(self, proto=0):
         return Message(
             kind=Kind.DATA,
-            channel=("a", 0, "b", 1),
             seq=5,
             record=_rec(),
-            payload_bytes=22,
+            lane=None,
             proto_bytes=proto,
         )
 

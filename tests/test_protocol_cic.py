@@ -10,6 +10,9 @@ from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
 from repro.protocols import CICProtocol
 
+#: the channel the hand-built messages below arrive on
+CH = ("src_bids", 1, "wincount", 0)
+
 
 def cic_sim(qname="q12", w=4, interval=2.0):
     topics = topics_for_query(qname, rate=400, duration=10, n_workers=w, seed=1)
@@ -96,8 +99,8 @@ class TestForcedCheckpoints:
         st = proto.states[inst]
         st.sent_to = 1 << s  # we previously sent to the sender
         msg = Message(
-            kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0), seq=1,
-            record=None, payload_bytes=10,
+            kind=Kind.DATA, lane=sim.lanes[CH], seq=1,
+            record=None,
             piggyback=(st.clock + 3, st.ckpt, 0, 0, s),
         )
         before = len(sim.store.checkpoints(inst))
@@ -112,8 +115,8 @@ class TestForcedCheckpoints:
         sender = ("src_bids", 1)
         s = proto.inst_index[sender]
         msg = Message(
-            kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0), seq=1,
-            record=None, payload_bytes=10,
+            kind=Kind.DATA, lane=sim.lanes[CH], seq=1,
+            record=None,
             piggyback=(proto.states[inst].clock + 3, proto.states[inst].ckpt, 0, 0, s),
         )
         before = len(sim.store.checkpoints(inst))
@@ -128,8 +131,8 @@ class TestForcedCheckpoints:
         sender = ("src_bids", 1)
         s = proto.inst_index[sender]
         msg = Message(
-            kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0), seq=1,
-            record=None, payload_bytes=10,
+            kind=Kind.DATA, lane=sim.lanes[CH], seq=1,
+            record=None,
             piggyback=(proto.states[inst].clock + 1, proto.states[inst].ckpt, 1 << me, 0, s),
         )
         before = len(sim.store.checkpoints(inst))
@@ -143,8 +146,8 @@ class TestForcedCheckpoints:
         sender = ("src_bids", 1)
         s = proto.inst_index[sender]
         msg = Message(
-            kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0), seq=1,
-            record=None, payload_bytes=10,
+            kind=Kind.DATA, lane=sim.lanes[CH], seq=1,
+            record=None,
             piggyback=(7, proto.states[inst].ckpt, 0, 0, s),
         )
         proto.before_process(0.5, inst, msg)
@@ -158,8 +161,8 @@ class TestForcedCheckpoints:
         s = proto.inst_index[sender]
         other = tuple(3 if i == s else 0 for i in range(proto.n_instances))
         msg = Message(
-            kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0), seq=1,
-            record=None, payload_bytes=10,
+            kind=Kind.DATA, lane=sim.lanes[CH], seq=1,
+            record=None,
             piggyback=(1, other, 0, 0, s),
         )
         proto.before_process(0.5, inst, msg)
@@ -178,8 +181,8 @@ class TestForcedCheckpoints:
             # tuple(list) takes an exact-size tuple, typically the one
             # freed in the previous iteration
             msg = Message(
-                kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0), seq=1,
-                record=None, payload_bytes=10, piggyback=(0, tuple(ck), 0, 0, s),
+                kind=Kind.DATA, lane=sim.lanes[CH], seq=1,
+                record=None, piggyback=(0, tuple(ck), 0, 0, s),
             )
             proto.before_process(0.5, inst, msg)
             del msg
@@ -187,8 +190,8 @@ class TestForcedCheckpoints:
 
     def test_replayed_message_without_piggyback_is_safe(self):
         sim = cic_sim("q12")
-        msg = Message(kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0),
-                      seq=1, record=None, payload_bytes=10, piggyback=None)
+        msg = Message(kind=Kind.DATA, lane=sim.lanes[CH],
+                      seq=1, record=None, piggyback=None)
         assert sim.protocol.before_process(0.5, ("wincount", 0), msg) == 0.0
 
 

@@ -9,31 +9,57 @@ from repro.nexmark.queries import QUERIES
 from repro.protocols import CoordinatedProtocol, UnsupportedTopologyError
 
 
-def coor_run(qname="q3", fail_at=None, interval=2.0, w=4):
+def coor_sim(qname="q3", interval=2.0, w=4):
     topics = topics_for_query(qname, rate=400, duration=10, n_workers=w, seed=1)
-    sim = Simulation(QUERIES[qname](), w, CoordinatedProtocol(interval), topics, seed=0)
+    return Simulation(QUERIES[qname](), w, CoordinatedProtocol(interval), topics, seed=0)
+
+
+def coor_run(qname="q3", fail_at=None, interval=2.0, w=4):
+    sim = coor_sim(qname, interval, w)
     res = sim.run(10.0, fail_at=fail_at)
     return sim, res
 
 
+def assert_aligned(sim, rounds):
+    """Aligned cut: per channel, the sender's last_sent at its round-r
+    snapshot equals the receiver's last_recv at its round-r snapshot."""
+    for r in rounds:
+        members = sim.protocol.round_members[r]
+        for inst, idx in members.items():
+            meta = sim.store.get(inst, idx).meta
+            for ch in (ln.ch for ln in sim.out_lanes[inst]):
+                dst = (ch[2], ch[3])
+                if dst not in members:
+                    continue  # sink channels
+                dmeta = sim.store.get(dst, members[dst]).meta
+                assert meta.last_sent[ch] == dmeta.last_recv[ch], (r, ch)
+
+
+def alignment_waits(qname="q3"):
+    """``(start, end)`` of every wait, in a failure-free run, from the
+    first marker an instance holds a lane for until it aligns."""
+    sim = coor_sim(qname)
+    proto = sim.protocol
+    on_marker, since, waits = proto.on_marker, {}, []
+
+    def record(t, inst, msg):
+        on_marker(t, inst, msg)
+        if inst in proto.aligning:
+            since.setdefault(inst, t)
+        elif inst in since:
+            waits.append((since.pop(inst), t))
+
+    proto.on_marker = record
+    sim.run(10.0)
+    return waits
+
+
 class TestAlignment:
     def test_alignment_invariant(self):
-        """Aligned cut: per channel, the sender's last_sent at its round-r
-        snapshot equals the receiver's last_recv at its round-r snapshot."""
         sim, res = coor_run("q3")
-        proto = sim.protocol
         completed = [row["round_id"] for row in res.telemetry.rounds]
-        assert completed and proto.last_completed == completed[-1]
-        for r in completed:
-            members = proto.round_members[r]
-            for inst, idx in members.items():
-                meta = sim.store.get(inst, idx).meta
-                for ch in sim.out_channels[inst]:
-                    dst = (ch[2], ch[3])
-                    if dst not in members:
-                        continue  # sink channels
-                    dmeta = sim.store.get(dst, members[dst]).meta
-                    assert meta.last_sent[ch] == dmeta.last_recv[ch], (r, ch)
+        assert completed and sim.protocol.last_completed == completed[-1]
+        assert_aligned(sim, completed)
 
     def test_every_participant_snapshots_each_round(self):
         sim, res = coor_run("q3")
@@ -50,7 +76,8 @@ class TestAlignment:
 
     def test_no_channels_left_blocked(self):
         sim, res = coor_run("q3")
-        assert sim.protocol.blocked == set()
+        assert not any(ln.blocked for ln in sim.lanes.values())
+        assert sim.protocol.aligning == {}
 
     def test_round_ids_monotone(self):
         sim, res = coor_run("q1")
@@ -96,6 +123,41 @@ class TestRecovery:
         base = run_query("q3", "none")
         rec = run_query("q3", "COOR", fail_at=6.0)
         assert base.sink_values() == rec.sink_values()
+
+    def test_failure_in_the_middle_of_an_alignment(self):
+        """A failure while lanes are held for alignment: the failure
+        releases them before recovery plans, the output is exactly-once,
+        and every round after the resume is an aligned cut."""
+        # the longest wait that starts after the first round and leaves
+        # time for rounds after the recovery
+        start, end = max((w for w in alignment_waits() if 2.0 < w[0] < 6.0),
+                         key=lambda w: w[1] - w[0])
+        assert end > start
+        t_fail = (start + end) / 2
+        sim = coor_sim("q3")
+        proto, seen = sim.protocol, {}
+
+        def held(key):
+            seen[key] = (sum(ln.blocked for ln in sim.lanes.values()), len(proto.aligning))
+
+        # scheduled before the run starts, so it pops just before the failure
+        sim.call_at(t_fail, lambda t: held("at_fail"))
+        plan_recovery = proto.plan_recovery
+
+        def plan(t):
+            held("at_plan")
+            return plan_recovery(t)
+
+        proto.plan_recovery = plan
+        res = sim.run(10.0, fail_at=t_fail)
+        assert seen["at_fail"][0] > 0 and seen["at_fail"][1] > 0
+        assert seen["at_plan"][0] == 0  # released by the failure itself
+        assert res.sink_values() == run_query("q3", "none").sink_values()
+        assert not any(ln.blocked for ln in sim.lanes.values()) and proto.aligning == {}
+        t_resume = res.telemetry.recovery["t_resume"]
+        after = [row["round_id"] for row in res.telemetry.rounds if row["start"] > t_resume]
+        assert after
+        assert_aligned(sim, after)
 
 
 class TestCyclicRejection:

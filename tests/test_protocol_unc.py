@@ -50,8 +50,8 @@ class TestMessageLogging:
         sim, res = unc_run("q12")
         for ch in sim.msg_log.channels():
             logged = sim.msg_log.replay_range(ch, 0, 10**9)
-            assert len(logged) == sim.sent_seq[ch]
-            assert [s for s, _ in logged] == list(range(1, sim.sent_seq[ch] + 1))
+            assert len(logged) == sim.lanes[ch].sent
+            assert [s for s, _ in logged] == list(range(1, sim.lanes[ch].sent + 1))
 
     def test_log_matches_sent_after_rollback(self):
         """At resume each sender's log is cut back to its restored counter,
@@ -60,7 +60,7 @@ class TestMessageLogging:
         assert res.telemetry.recovery["n_replay"] > 0
         for ch in sim.msg_log.channels():
             logged = sim.msg_log.replay_range(ch, 0, 10**9)
-            assert [s for s, _ in logged] == list(range(1, sim.sent_seq[ch] + 1))
+            assert [s for s, _ in logged] == list(range(1, sim.lanes[ch].sent + 1))
 
 
 class TestRecovery:

@@ -48,7 +48,7 @@ class Builder:
         self.store.put(StoredCheckpoint(meta, None))
 
     def line(self):
-        return find_recovery_line(self.store, self.insts, self.out, self.insts)
+        return find_recovery_line(self.store, self.insts, self.insts)
 
 
 class TestSimpleScenarios:
@@ -121,7 +121,7 @@ class TestCheckpointGraph:
     def test_consecutive_edges_present(self):
         b = Builder(["A"], [])
         b.checkpoint("A"); b.checkpoint("A")
-        adj = build_checkpoint_graph(b.store, b.insts, b.out)
+        adj = build_checkpoint_graph(b.store, b.insts)
         assert (("A", 0), 1) in adj[(("A", 0), 0)]
         assert (("A", 0), 2) in adj[(("A", 0), 1)]
 
@@ -132,14 +132,14 @@ class TestCheckpointGraph:
         b.checkpoint("B")  # B1 recv=2
         b.deliver("A", "B", 0)
         b.checkpoint("B")  # B2 recv=2
-        adj = build_checkpoint_graph(b.store, b.insts, b.out)
+        adj = build_checkpoint_graph(b.store, b.insts)
         assert (("B", 0), 1) in adj[(("A", 0), 1)]
         assert (("B", 0), 2) not in adj[(("A", 0), 1)]
 
     def test_no_edges_without_traffic(self):
         b = Builder(["A", "B"], [("A", "B")])
         b.checkpoint("A"); b.checkpoint("B")
-        adj = build_checkpoint_graph(b.store, b.insts, b.out)
+        adj = build_checkpoint_graph(b.store, b.insts)
         assert all(dst[0] == ("A", 0) for dst in adj[(("A", 0), 0)])
 
 

@@ -68,9 +68,10 @@ class TestChannelFifo:
     def test_per_channel_seqs_dense(self):
         sim = tiny()
         sim.run(4.0)
-        for ch, n in sim.sent_seq.items():
-            if ch[2] != "sink":
-                assert sim.recv_seq.get(ch, 0) == n  # everything delivered
+        assert any(ln.sent for ln in sim.lanes.values())
+        for ln in sim.lanes.values():
+            if ln.ch[2] != "sink":
+                assert ln.recv == ln.sent, ln.ch  # everything delivered
 
     def test_sink_arrival_order_monotone_per_channel(self):
         sim = tiny()
@@ -83,8 +84,8 @@ class TestChannelFifo:
 class TestChannelLists:
     def test_every_sent_channel_is_listed(self):
         """A forward edge with a broadcast override also sends across
-        workers; those channels must be listed so checkpoints record their
-        counters."""
+        workers; those lanes must be listed so checkpoints record their
+        counters (recovery reads an instance's channels from them)."""
         g = QUERIES["q1"]()
         g.edges = [
             replace(e, broadcast_pred=lambda r: r.value["bidder"] % 3 == 0)
@@ -94,11 +95,14 @@ class TestChannelLists:
         topics = topics_for_query("q1", rate=200, duration=4.0, n_workers=3, seed=0)
         sim = Simulation(g, 3, UncoordinatedProtocol(1.0), topics, seed=0)
         sim.run(4.0)
-        worker_chans = [ch for ch in sim.sent_seq if ch[2] not in sim.sinks]
-        assert any(ch[1] != ch[3] for ch in worker_chans)  # broadcasts happened
-        for ch in worker_chans:
-            assert ch in sim.out_channels[(ch[0], ch[1])], ch
-            assert ch in sim.in_channels[(ch[2], ch[3])], ch
+        worker_lanes = [ln for ln in sim.lanes.values() if ln.sent and ln.ch[2] not in sim.sinks]
+        assert any(ln.ch[1] != ln.ch[3] for ln in worker_lanes)  # broadcasts happened
+        for ln in worker_lanes:
+            ch = ln.ch
+            assert ln in sim.out_lanes[(ch[0], ch[1])], ch
+            assert ln in sim.in_lanes[(ch[2], ch[3])], ch
+            assert ch in sim.store.get((ch[0], ch[1]), 0).meta.last_sent, ch
+            assert ch in sim.store.get((ch[2], ch[3]), 0).meta.last_recv, ch
 
 
 class TestFailureFree:
@@ -288,21 +292,15 @@ class TestLanes:
         on_send = sim.protocol.on_send
 
         def record(t, inst, msg):
-            sent.append(msg)
+            sent.append((inst, msg))
             on_send(t, inst, msg)
 
         sim.protocol.on_send = record
         sim.run(4.0)
-        assert sent and all(sim.lanes[m.channel] is m.lane for m in sent)
-        assert all(m.lane.inst == (m.channel[2], m.channel[3]) for m in sent)
-        assert all(m.lane.to_sink == (m.channel[2] in sim.sinks) for m in sent)
-
-    def test_seq_views_are_read_only(self):
-        sim = tiny()
-        sim.run(4.0)
-        assert sim.sent_seq and sim.recv_seq
-        with pytest.raises(TypeError):
-            sim.sent_seq[next(iter(sim.sent_seq))] = 0
+        assert sent and all(sim.lanes[m.lane.ch] is m.lane for _, m in sent)
+        assert all((m.lane.ch[0], m.lane.ch[1]) == inst for inst, m in sent)
+        assert all(m.lane.inst == (m.lane.ch[2], m.lane.ch[3]) for _, m in sent)
+        assert all(m.lane.to_sink == (m.lane.ch[2] in sim.sinks) for _, m in sent)
 
 
 #: every (query, protocol) pair the simulator runs, each without and (if
