@@ -29,9 +29,7 @@ class ReplayableLog:
         Records must already be in ingest-time order; round-robin keeps each
         partition time-ordered.
         """
-        parts: List[List[Record]] = [[] for _ in range(n_partitions)]
-        for i, r in enumerate(records):
-            parts[i % n_partitions].append(r)
+        parts = [records[w::n_partitions] for w in range(n_partitions)]
         return cls(topic=topic, partitions=parts)
 
     @property

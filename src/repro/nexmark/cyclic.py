@@ -10,9 +10,18 @@ delete events remove links/sources from the join state.
 The generator follows the paper's §VII configuration: a static node set
 and events with 60 % add-link / 15 % add-source / 20 % delete-link /
 5 % delete-source probabilities.
+
+Draw-order contract: ``cyclic_events`` first draws every event's kind in
+one ``g.choice``; then, event by event, an add-link draws ``u`` then ``v``
+in ``[0, n_nodes)``, an add-source draws its node, and a delete draws the
+index of the link or source it removes among those alive. A delete with
+nothing alive becomes the matching add. The ranges therefore follow from
+the kinds alone: a pre-pass computes them and ``draw_integers`` makes the
+draws in broadcast calls, with the values of a scalar call per draw.
 """
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
@@ -26,6 +35,7 @@ from repro.dataflow.operators import (
     CyclicSelectOp,
     PassThrough,
 )
+from repro.nexmark.generator import draw_integers
 
 EVENT_MIX = {"add_link": 0.60, "add_source": 0.15, "del_link": 0.20, "del_source": 0.05}
 
@@ -90,20 +100,41 @@ def cyclic_events(
     choices = g.choice(len(kinds), size=n, p=p)
     ts = (np.arange(n) + 0.5) / rate
 
+    # pre-pass: each event's kind after the empty-delete fallback, and the
+    # exclusive upper bound of each of its draws (every draw starts at 0)
+    events: List[str] = []
+    highs = array("q")
+    n_links = n_sources = 0
+    for c in choices.tolist():
+        kind = kinds[c]
+        if kind == "del_link" and not n_links:
+            kind = "add_link"
+        if kind == "del_source" and not n_sources:
+            kind = "add_source"
+        events.append(kind)
+        if kind == "add_link":
+            highs.extend((n_nodes, n_nodes))
+            n_links += 1
+        elif kind == "del_link":
+            highs.append(n_links)
+            n_links -= 1
+        elif kind == "add_source":
+            highs.append(n_nodes)
+            n_sources += 1
+        else:
+            highs.append(n_sources)
+            n_sources -= 1
+    bound = np.frombuffer(highs, dtype=np.int64)
+    draws = draw_integers(g, len(bound), lambda a, b: (0, bound[a:b]))
+
     links: List[Record] = []
     sources: List[Record] = []
     alive_links: List[Tuple[int, int]] = []
     alive_sources: List[int] = []
-    for i in range(n):
-        kind = kinds[choices[i]]
-        t = float(ts[i])
-        if kind == "del_link" and not alive_links:
-            kind = "add_link"
-        if kind == "del_source" and not alive_sources:
-            kind = "add_source"
+    for i, (kind, t) in enumerate(zip(events, ts.tolist())):
         if kind == "add_link":
-            u = int(g.integers(0, n_nodes))
-            v = int(g.integers(0, n_nodes))
+            u = next(draws)
+            v = next(draws)
             if v == u:
                 v = (v + 1) % n_nodes
             alive_links.append((u, v))
@@ -111,18 +142,18 @@ def cyclic_events(
                                 value={"op": "add_link", "u": u, "v": v},
                                 ingest_ts=t, kind="link"))
         elif kind == "del_link":
-            u, v = alive_links.pop(int(g.integers(0, len(alive_links))))
+            u, v = alive_links.pop(next(draws))
             links.append(Record(uid=f"dl{i}", key=u,
                                 value={"op": "del_link", "u": u, "v": v},
                                 ingest_ts=t, kind="link"))
         elif kind == "add_source":
-            s = int(g.integers(0, n_nodes))
+            s = next(draws)
             alive_sources.append(s)
             sources.append(Record(uid=f"s{i}", key=s,
                                   value={"op": "source", "s": s, "path": (s,)},
                                   ingest_ts=t, kind="source_node"))
         else:  # del_source
-            s = alive_sources.pop(int(g.integers(0, len(alive_sources))))
+            s = alive_sources.pop(next(draws))
             sources.append(Record(uid=f"ds{i}", key=s,
                                   value={"op": "del_source", "s": s},
                                   ingest_ts=t, kind="source_node"))

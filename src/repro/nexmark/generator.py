@@ -9,11 +9,23 @@ skewed-workload experiments, Fig. 12/13).
 Events are produced as :class:`repro.dataflow.messages.Record` lists ready
 to be loaded into a :class:`ReplayableLog`, and as pandas frames (via
 ``records_frame``) for the Spark/DuckDB batch references.
+
+Draw-order contract: each generator's records are a function of its seed
+through a fixed sequence of numpy ``Generator`` draws, the sequence a
+per-record loop of scalar ``g.random()`` / ``g.integers(low, high)`` calls
+makes. ``persons_auctions`` draws, event by event, a person's state index
+in ``[0, len(STATES))``, or an auction's hot coin (``g.random()``, only
+when ``hot_ratio`` is set), then its seller in ``[1, N_HOT]`` (hot) or
+``[1, n_persons]``, then its category. The draws are not made one call
+per value: ``draw_integers`` makes them in broadcast calls, which numpy
+fills element by element with the scalar calls' values, and
+``_PCG64Stream`` replays the skewed path's interleaved calls from raw
+PCG64 words. Reordering a draw changes every record after it, which the
+crc32 pins in ``tests/test_generator.py`` catch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
 import pandas as pd
@@ -28,6 +40,9 @@ Q3_CATEGORY = 10
 N_CATEGORIES = 10  #: categories 10..19 -> Q3 keeps ~10 %
 #: size of the hot key set under skew: hot events go to ids 1..N_HOT
 N_HOT = 1
+#: most draws one broadcast ``Generator.integers`` call (or one
+#: ``random_raw`` read) makes; bounds the transient arrays and lists
+DRAW_CHUNK = 65_536
 
 
 def _spaced_ts(n: int, rate: float) -> np.ndarray:
@@ -61,6 +76,72 @@ def bids(
     ]
 
 
+def draw_integers(
+    g: np.random.Generator,
+    n_draws: int,
+    bounds: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
+) -> Iterator[int]:
+    """``int(g.integers(low_d, high_d))`` for ``d`` in ``range(n_draws)``,
+    in order, where ``bounds(a, b)`` returns the ``(lows, highs)`` of draws
+    ``a..b-1``. Draws are made in broadcast calls of at most ``DRAW_CHUNK``;
+    numpy fills a broadcast call element by element with the same bounded
+    Lemire draws as the scalar calls, so the values, and the generator's
+    state after them, are the scalar loop's."""
+    for a in range(0, n_draws, DRAW_CHUNK):
+        lows, highs = bounds(a, min(a + DRAW_CHUNK, n_draws))
+        yield from g.integers(lows, highs).tolist()
+
+
+class _PCG64Stream:
+    """numpy's scalar ``g.random()`` and ``g.integers(low, high)`` on a
+    ``PCG64`` generator, replayed in Python from raw 64-bit words read
+    ``DRAW_CHUNK`` at a time: the double is the top 53 bits of a word; a
+    bounded integer takes 32-bit halves (low half first, the high half kept
+    for the next one) through Lemire's multiply-and-reject (Lemire, ACM
+    TOMACS 2019). Ranges of one value draw nothing. Reading ahead leaves
+    ``g`` past every word read, so ``g`` is not used after the stream."""
+
+    def __init__(self, g: np.random.Generator):
+        bg = g.bit_generator
+        if type(bg) is not np.random.PCG64:
+            raise TypeError(f"_PCG64Stream needs a PCG64 generator, not {type(bg).__name__}")
+        state = bg.state
+        self._raw = bg.random_raw
+        self._has32, self._half = state["has_uint32"], state["uinteger"]
+        self._words: Iterator[int] = iter(())
+
+    def _next64(self) -> int:
+        try:
+            return next(self._words)
+        except StopIteration:
+            self._words = iter(self._raw(DRAW_CHUNK).tolist())
+            return next(self._words)
+
+    def _next32(self) -> int:
+        if self._has32:
+            self._has32 = 0
+            return self._half
+        w = self._next64()
+        self._has32, self._half = 1, w >> 32
+        return w & 0xFFFFFFFF
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        rng = high - low - 1
+        if rng == 0:
+            return low
+        if not 0 < rng < 0xFFFFFFFF:
+            raise ValueError(f"_PCG64Stream replays ranges of 1 to 2**32 - 1 values, not [{low}, {high})")
+        m = self._next32() * (rng + 1)
+        if (m & 0xFFFFFFFF) <= rng:  # only then can it fall below the threshold
+            threshold = (0xFFFFFFFF - rng) % (rng + 1)
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._next32() * (rng + 1)
+        return low + (m >> 32)
+
+
 def persons_auctions(
     *,
     rate: float,
@@ -75,46 +156,56 @@ def persons_auctions(
     n = int(rate * duration)
     g = np.random.default_rng(seed)
     ts = _spaced_ts(n, rate)
-    persons: List[Record] = []
-    auctions: List[Record] = []
-    n_persons = 0
-    for i in range(n):
-        if i % 4 == 0:  # every 4th event is a person
-            n_persons += 1
-            pid = n_persons
-            persons.append(
-                Record(
-                    uid=f"p{pid}",
-                    key=pid,
-                    value={
-                        "id": pid,
-                        "name": f"person-{pid}",
-                        "city": f"city-{pid % 37}",
-                        "state": STATES[int(g.integers(0, len(STATES)))],
-                    },
-                    ingest_ts=float(ts[i]),
-                    kind="person",
-                )
-            )
-        else:
-            aid = len(auctions) + 1
-            if hot_ratio and g.random() < hot_ratio and n_persons >= N_HOT:
-                seller = int(g.integers(1, N_HOT + 1))
+    states: List[int] = []
+    sellers: List[int] = []
+    categories: List[int] = []
+    if hot_ratio:
+        # the hot coin decides whether the seller draw happens (N_HOT = 1
+        # draws nothing), so later draws' bit positions depend on outcomes
+        s = _PCG64Stream(g)
+        draw, coin = s.integers, s.random
+        for i in range(n):
+            if i % 4 == 0:  # every 4th event is a person
+                states.append(draw(0, len(STATES)))
+                continue
+            n_persons = i // 4 + 1
+            if coin() < hot_ratio and n_persons >= N_HOT:
+                sellers.append(draw(1, N_HOT + 1))
             else:
-                seller = int(g.integers(1, max(n_persons, 1) + 1))
-            auctions.append(
-                Record(
-                    uid=f"a{aid}",
-                    key=seller,
-                    value={
-                        "id": aid,
-                        "seller": seller,
-                        "category": int(g.integers(10, 10 + N_CATEGORIES)),
-                    },
-                    ingest_ts=float(ts[i]),
-                    kind="auction",
-                )
-            )
+                sellers.append(draw(1, n_persons + 1))
+            categories.append(draw(10, 10 + N_CATEGORIES))
+    else:
+        # every 4 events draw state, then (seller, category) three times;
+        # before event 4k + 1 there are k + 1 persons
+        def bounds(a: int, b: int) -> Tuple[np.ndarray, np.ndarray]:
+            k, j = np.divmod(np.arange(a, b), 7)
+            lows = np.where(j == 0, 0, np.where(j % 2 == 1, 1, 10))
+            highs = np.where(j == 0, len(STATES), np.where(j % 2 == 1, k + 2, 10 + N_CATEGORIES))
+            return lows, highs
+
+        draws = draw_integers(g, 7 * (n // 4) + max(2 * (n % 4) - 1, 0), bounds)
+        for i in range(n):
+            if i % 4 == 0:
+                states.append(next(draws))
+            else:
+                sellers.append(next(draws))
+                categories.append(next(draws))
+    persons = [
+        Record(
+            f"p{pid}",
+            pid,
+            {"id": pid, "name": f"person-{pid}", "city": f"city-{pid % 37}", "state": STATES[st]},
+            t,
+            "person",
+        )
+        for pid, st, t in zip(range(1, len(states) + 1), states, ts[0::4].tolist())
+    ]
+    auctions = [
+        Record(f"a{aid}", seller, {"id": aid, "seller": seller, "category": cat}, t, "auction")
+        for aid, seller, cat, t in zip(
+            range(1, len(sellers) + 1), sellers, categories, ts[np.arange(n) % 4 != 0].tolist()
+        )
+    ]
     return persons, auctions
 
 

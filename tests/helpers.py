@@ -6,6 +6,7 @@ fast. The Spark session fixture comes from the repo-root conftest.
 """
 from __future__ import annotations
 
+import zlib
 from functools import lru_cache
 from typing import Optional
 
@@ -23,6 +24,18 @@ DURATION = 10.0
 FAIL_AT = 6.0
 #: checkpoint interval and COOR round interval of every cached run
 INTERVAL = 2.0
+
+
+def records_digest(*streams) -> str:
+    """crc32 of generated records, one line per record: uid, key, value
+    (key order included), ``ingest_ts``, kind, and the Python type of the
+    key, the timestamp and every value field."""
+    lines = []
+    for records in streams:
+        for r in records:
+            types = ",".join(type(x).__name__ for x in (r.key, r.ingest_ts, *r.value.values()))
+            lines.append(f"{r.uid} {r.key!r} {r.value!r} {r.ingest_ts!r} {r.kind} {types}")
+    return f"{zlib.crc32(chr(10).join(lines).encode()):08x}"
 
 
 @lru_cache(maxsize=64)

@@ -1,7 +1,8 @@
 """Tests for the cyclic reachability query (paper §VI, Fig. 6)."""
+import numpy as np
 import pytest
 
-from helpers import cyclic_workload, run_cyclic
+from helpers import cyclic_workload, records_digest, run_cyclic
 from repro.nexmark.cyclic import (
     EVENT_MIX,
     cyclic_events,
@@ -9,6 +10,41 @@ from repro.nexmark.cyclic import (
     reachability_graph,
     reference_paths,
 )
+
+
+def _scalar_cyclic_events(*, rate, duration, seed, n_nodes, deletions):
+    """The reference: one scalar numpy call per draw, event by event."""
+    n = int(rate * duration)
+    g = np.random.default_rng(seed)
+    mix = dict(EVENT_MIX)
+    if not deletions:
+        mix["del_link"] = mix["del_source"] = 0.0
+    kinds = list(mix)
+    p = np.array([mix[k] for k in kinds])
+    choices = g.choice(len(kinds), size=n, p=p / p.sum())
+    links, sources, alive_links, alive_sources = [], [], [], []
+    for i in range(n):
+        kind, t = kinds[choices[i]], float((i + 0.5) / rate)
+        if kind == "del_link" and not alive_links:
+            kind = "add_link"
+        if kind == "del_source" and not alive_sources:
+            kind = "add_source"
+        if kind == "add_link":
+            u, v = int(g.integers(0, n_nodes)), int(g.integers(0, n_nodes))
+            v = (v + 1) % n_nodes if v == u else v
+            alive_links.append((u, v))
+            links.append((f"l{i}", u, {"op": "add_link", "u": u, "v": v}, t, "link"))
+        elif kind == "del_link":
+            u, v = alive_links.pop(int(g.integers(0, len(alive_links))))
+            links.append((f"dl{i}", u, {"op": "del_link", "u": u, "v": v}, t, "link"))
+        elif kind == "add_source":
+            s = int(g.integers(0, n_nodes))
+            alive_sources.append(s)
+            sources.append((f"s{i}", s, {"op": "source", "s": s, "path": (s,)}, t, "source_node"))
+        else:
+            s = alive_sources.pop(int(g.integers(0, len(alive_sources))))
+            sources.append((f"ds{i}", s, {"op": "del_source", "s": s}, t, "source_node"))
+    return [links, sources]
 
 
 class TestGenerator:
@@ -42,6 +78,44 @@ class TestGenerator:
                 added.add((r.value["u"], r.value["v"]))
             else:
                 assert (r.value["u"], r.value["v"]) in added
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 50, 10**6])
+    @pytest.mark.parametrize("deletions", [True, False])
+    def test_matches_scalar_reference(self, n_nodes, deletions):
+        """The batched draws give the records of a scalar numpy call per
+        draw, including one-value ranges (one node, one alive entity)."""
+        for seed in (0, 9):
+            got = cyclic_events(rate=300, duration=2, seed=seed, n_nodes=n_nodes,
+                                deletions=deletions)
+            want = _scalar_cyclic_events(rate=300, duration=2, seed=seed, n_nodes=n_nodes,
+                                         deletions=deletions)
+            assert [[(r.uid, r.key, r.value, r.ingest_ts, r.kind) for r in rs]
+                    for rs in got] == want
+
+    @pytest.mark.parametrize(
+        "kwargs, digest",
+        [
+            (dict(seed=4, n_nodes=1000), "7be5db7f"),
+            (dict(seed=4, n_nodes=1000, deletions=False), "385ce045"),
+            (dict(seed=4, n_nodes=10**6), "905f5951"),
+            (dict(seed=4, n_nodes=10**6, deletions=False), "fe588f24"),
+        ],
+        ids=["del-1k", "add-only-1k", "del-1m", "add-only-1m"],
+    )
+    def test_pins(self, kwargs, digest):
+        """crc32 of the records (``helpers.records_digest``), recorded from
+        the one-scalar-numpy-call-per-draw generator."""
+        assert records_digest(*cyclic_events(rate=500, duration=10, **kwargs)) == digest
+
+    def test_pin_across_draw_chunks(self):
+        # ~80,000 draws: the broadcast calls cross DRAW_CHUNK
+        assert records_digest(*cyclic_events(rate=5000, duration=10, seed=2,
+                                             n_nodes=1000)) == "be7e5c3c"
+
+    def test_pin_single_node(self):
+        # every node draw has one value, so only deletes consume the stream
+        assert records_digest(*cyclic_events(rate=100, duration=2, seed=2,
+                                             n_nodes=1)) == "376c0e78"
 
     def test_topics_partitioning(self):
         topics = cyclic_topics(rate=100, duration=2, n_workers=3, n_nodes=100)

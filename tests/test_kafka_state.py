@@ -40,6 +40,18 @@ class TestReplayableLog:
     def test_total_events(self):
         assert ReplayableLog.from_records("t", recs(7), 2).total_events() == 7
 
+    @pytest.mark.parametrize("n, parts", [(0, 3), (5, 8), (10, 1), (23, 4), (64, 7)])
+    def test_partitions_are_the_round_robin_deal(self, n, parts):
+        rs = recs(n)
+        dealt = [[] for _ in range(parts)]
+        for i, r in enumerate(rs):
+            dealt[i % parts].append(r)
+        log = ReplayableLog.from_records("t", rs, parts)
+        assert len(log.partitions) == parts
+        for got, want in zip(log.partitions, dealt):
+            assert type(got) is list and len(got) == len(want)
+            assert all(a is b for a, b in zip(got, want))
+
 
 class TestSourceCursor:
     def test_replay_same_suffix_after_restore(self):
