@@ -16,8 +16,8 @@ one ``g.choice``; then, event by event, an add-link draws ``u`` then ``v``
 in ``[0, n_nodes)``, an add-source draws its node, and a delete draws the
 index of the link or source it removes among those alive. A delete with
 nothing alive becomes the matching add. The ranges therefore follow from
-the kinds alone: a pre-pass computes them and ``draw_integers`` makes the
-draws in broadcast calls, with the values of a scalar call per draw.
+the kinds alone: a pre-pass computes them and broadcast ``g.integers``
+calls make the draws, with the values of a scalar call per draw.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from repro.dataflow.operators import (
     CyclicSelectOp,
     PassThrough,
 )
-from repro.nexmark.generator import draw_integers
+from repro.nexmark.generator import DRAW_CHUNK
 
 EVENT_MIX = {"add_link": 0.60, "add_source": 0.15, "del_link": 0.20, "del_source": 0.05}
 
@@ -124,8 +124,11 @@ def cyclic_events(
         else:
             highs.append(n_sources)
             n_sources -= 1
+    # broadcast calls of at most DRAW_CHUNK draws, which numpy fills element
+    # by element with the values of a scalar g.integers(0, high) per draw
     bound = np.frombuffer(highs, dtype=np.int64)
-    draws = draw_integers(g, len(bound), lambda a, b: (0, bound[a:b]))
+    draws = (d for a in range(0, len(bound), DRAW_CHUNK)
+             for d in g.integers(0, bound[a:a + DRAW_CHUNK]).tolist())
 
     links: List[Record] = []
     sources: List[Record] = []

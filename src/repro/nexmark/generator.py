@@ -16,16 +16,15 @@ per-record loop of scalar ``g.random()`` / ``g.integers(low, high)`` calls
 makes. ``persons_auctions`` draws, event by event, a person's state index
 in ``[0, len(STATES))``, or an auction's hot coin (``g.random()``, only
 when ``hot_ratio`` is set), then its seller in ``[1, N_HOT]`` (hot) or
-``[1, n_persons]``, then its category. The draws are not made one call
-per value: ``draw_integers`` makes them in broadcast calls, which numpy
-fills element by element with the scalar calls' values, and
-``_PCG64Stream`` replays the skewed path's interleaved calls from raw
-PCG64 words. Reordering a draw changes every record after it, which the
-crc32 pins in ``tests/test_generator.py`` catch.
+``[1, n_persons]``, then its category. The draws are not made one numpy
+call per value: ``_PCG64Stream`` replays the scalar calls from raw PCG64
+words read ``DRAW_CHUNK`` at a time. Reordering a draw changes every
+record after it, which the crc32 pins in ``tests/test_generator.py``
+catch.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 import pandas as pd
@@ -40,8 +39,8 @@ Q3_CATEGORY = 10
 N_CATEGORIES = 10  #: categories 10..19 -> Q3 keeps ~10 %
 #: size of the hot key set under skew: hot events go to ids 1..N_HOT
 N_HOT = 1
-#: most draws one broadcast ``Generator.integers`` call (or one
-#: ``random_raw`` read) makes; bounds the transient arrays and lists
+#: most draws one broadcast ``Generator.integers`` call (or raw PCG64 words
+#: one ``random_raw`` read) makes; bounds the transient arrays and lists
 DRAW_CHUNK = 65_536
 
 
@@ -74,22 +73,6 @@ def bids(
             zip(auction.tolist(), bidder.tolist(), price.tolist(), ts.tolist())
         )
     ]
-
-
-def draw_integers(
-    g: np.random.Generator,
-    n_draws: int,
-    bounds: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
-) -> Iterator[int]:
-    """``int(g.integers(low_d, high_d))`` for ``d`` in ``range(n_draws)``,
-    in order, where ``bounds(a, b)`` returns the ``(lows, highs)`` of draws
-    ``a..b-1``. Draws are made in broadcast calls of at most ``DRAW_CHUNK``;
-    numpy fills a broadcast call element by element with the same bounded
-    Lemire draws as the scalar calls, so the values, and the generator's
-    state after them, are the scalar loop's."""
-    for a in range(0, n_draws, DRAW_CHUNK):
-        lows, highs = bounds(a, min(a + DRAW_CHUNK, n_draws))
-        yield from g.integers(lows, highs).tolist()
 
 
 class _PCG64Stream:
@@ -159,37 +142,18 @@ def persons_auctions(
     states: List[int] = []
     sellers: List[int] = []
     categories: List[int] = []
-    if hot_ratio:
-        # the hot coin decides whether the seller draw happens (N_HOT = 1
-        # draws nothing), so later draws' bit positions depend on outcomes
-        s = _PCG64Stream(g)
-        draw, coin = s.integers, s.random
-        for i in range(n):
-            if i % 4 == 0:  # every 4th event is a person
-                states.append(draw(0, len(STATES)))
-                continue
-            n_persons = i // 4 + 1
-            if coin() < hot_ratio and n_persons >= N_HOT:
-                sellers.append(draw(1, N_HOT + 1))
-            else:
-                sellers.append(draw(1, n_persons + 1))
-            categories.append(draw(10, 10 + N_CATEGORIES))
-    else:
-        # every 4 events draw state, then (seller, category) three times;
-        # before event 4k + 1 there are k + 1 persons
-        def bounds(a: int, b: int) -> Tuple[np.ndarray, np.ndarray]:
-            k, j = np.divmod(np.arange(a, b), 7)
-            lows = np.where(j == 0, 0, np.where(j % 2 == 1, 1, 10))
-            highs = np.where(j == 0, len(STATES), np.where(j % 2 == 1, k + 2, 10 + N_CATEGORIES))
-            return lows, highs
-
-        draws = draw_integers(g, 7 * (n // 4) + max(2 * (n % 4) - 1, 0), bounds)
-        for i in range(n):
-            if i % 4 == 0:
-                states.append(next(draws))
-            else:
-                sellers.append(next(draws))
-                categories.append(next(draws))
+    s = _PCG64Stream(g)
+    draw, coin = s.integers, s.random
+    for i in range(n):
+        if i % 4 == 0:  # every 4th event is a person
+            states.append(draw(0, len(STATES)))
+            continue
+        n_persons = i // 4 + 1
+        if hot_ratio and coin() < hot_ratio and n_persons >= N_HOT:
+            sellers.append(draw(1, N_HOT + 1))
+        else:
+            sellers.append(draw(1, n_persons + 1))
+        categories.append(draw(10, 10 + N_CATEGORIES))
     persons = [
         Record(
             f"p{pid}",

@@ -11,7 +11,6 @@ from repro.nexmark.generator import (
     STATES,
     _PCG64Stream,
     bids,
-    draw_integers,
     persons_auctions,
     records_frame,
     topics_for_query,
@@ -110,17 +109,17 @@ class TestTopics:
 
 class TestPins:
     """crc32 of the generated records (``helpers.records_digest``), recorded
-    from the one-scalar-numpy-call-per-value generators. Batching the draws
-    must leave every record identical; reordering any draw (say seller and
-    category) changes them."""
+    from the one-scalar-numpy-call-per-value generators. Replaying the
+    draws from raw words must leave every record identical; reordering any
+    draw (say seller and category) changes them."""
 
     @pytest.mark.parametrize(
         "kwargs, digest",
         [
             (dict(rate=400, duration=5, seed=3), "bc35fa98"),
             (dict(rate=400, duration=5, seed=3, hot_ratio=0.3), "dd053946"),
-            # 87,500 draws and ~75,600 raw words: both cross DRAW_CHUNK
-            (dict(rate=5000, duration=10, seed=11), "d5ed304e"),
+            # ~70,000 and ~75,600 raw words: both cross DRAW_CHUNK
+            (dict(rate=8000, duration=10, seed=11), "52a10b7e"),
             (dict(rate=5000, duration=10, seed=11, hot_ratio=0.3), "a673c66f"),
         ],
         ids=["h0", "h0.3", "h0-chunks", "h0.3-chunks"],
@@ -159,7 +158,7 @@ def _scalar_persons_auctions(*, rate, duration, seed=0, hot_ratio=0.0):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 401, 1002, 4003])
 def test_persons_auctions_match_scalar_reference(n, hot_ratio):
     """Every event count mod 4 (a partial last group of draws), every seed
-    path: the batched draws give the reference loop's records exactly."""
+    path: the replayed draws give the reference loop's records exactly."""
     for seed in (0, 5):
         # rate * (n / rate) == n exactly for a power-of-two rate
         ps, aus = persons_auctions(rate=4.0, duration=n / 4, seed=seed, hot_ratio=hot_ratio)
@@ -211,6 +210,11 @@ class TestPCG64Stream:
             [int(g.integers(0, 3 * 2**30)) for _ in range(2000)]
         assert len(halves) > 2400
 
+    def test_matches_scalar_calls_across_chunks(self):
+        highs = (np.arange(2 * DRAW_CHUNK + 1000) % 97 + 1).tolist()  # one-value ranges too
+        s, g = _PCG64Stream(np.random.default_rng(8)), np.random.default_rng(8)
+        assert [s.integers(0, h) for h in highs] == [int(g.integers(0, h)) for h in highs]
+
     def test_continues_a_buffered_half(self):
         g = np.random.default_rng(4)
         g.integers(0, 10)  # leaves the high half of a word buffered
@@ -229,12 +233,3 @@ class TestPCG64Stream:
     def test_refuses_ranges_it_cannot_replay(self, low, high):
         with pytest.raises(ValueError, match="replays ranges"):
             _PCG64Stream(np.random.default_rng(0)).integers(low, high)
-
-
-def test_draw_integers_matches_scalar_calls_across_chunks():
-    n = DRAW_CHUNK + 1000
-    highs = np.arange(n) % 97 + 1  # includes one-value ranges
-    g, ref = np.random.default_rng(8), np.random.default_rng(8)
-    got = list(draw_integers(g, n, lambda a, b: (0, highs[a:b])))
-    assert got == [int(ref.integers(0, h)) for h in highs.tolist()]
-    assert g.bit_generator.state == ref.bit_generator.state

@@ -15,6 +15,8 @@ JOBS = Path(__file__).resolve().parent.parent / "jobs"
 @pytest.mark.parametrize("path", sorted(JOBS.glob("*.py")), ids=lambda p: p.stem)
 def test_job_imports(path, monkeypatch):
     monkeypatch.syspath_prepend(str(JOBS))  # jobs import their _session helper
+    # _session prepends src to PYTHONPATH; undo that after the test
+    monkeypatch.setenv("PYTHONPATH", os.environ.get("PYTHONPATH", ""))
     spec = importlib.util.spec_from_file_location(f"job_{path.stem}", path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
