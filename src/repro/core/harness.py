@@ -6,6 +6,10 @@ Spark with ``applyInPandas`` — one simulation per group, metrics rows back
 as a DataFrame — which is how the table jobs execute the full
 (protocol x query x parallelism) grid on all cores.
 
+A single run needs numpy alone: pandas and pyspark are imported inside the
+Spark half (``spark_session``, ``sweep``, ``sweep_local``), so a process
+that only simulates never loads them (DESIGN.md §2).
+
 A config's ``rate`` may be negative, meaning "that fraction of the
 measured MST": ``rate=-0.8`` runs at 80 % of the per-(query, protocol,
 parallelism) maximum sustainable throughput, the paper's operating point.
@@ -15,17 +19,18 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, get_type_hints
+from typing import TYPE_CHECKING, Dict, Iterable, List, get_type_hints
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
 
 from repro.dataflow.simulator import SimResult
 
 from .config import ExperimentConfig, build
 from .mst import measure_mst
+
+if TYPE_CHECKING:
+    import pandas as pd
+    from pyspark.sql import DataFrame, SparkSession
 
 WARMUP = 5.0  #: seconds excluded from steady-state latency stats
 
@@ -85,6 +90,9 @@ class MetricsRow:
     recovery_time: float
 
 
+METRIC_COLUMNS = list(get_type_hints(MetricsRow))
+
+
 def _percentile(values: List[float], q: float) -> float:
     return float(np.percentile(values, q)) if values else float("nan")
 
@@ -122,24 +130,23 @@ def metrics_row(cfg: ExperimentConfig, res: SimResult, mst: float) -> Dict:
     """Flatten one run into the metrics the tables need: a plain dict of
     the ``MetricsRow`` fields, in column order."""
     tel = res.telemetry
-    cf = tel.checkpoints_frame()
-    rf = tel.rounds_frame()
+    ckpts = tel.checkpoints
     # average checkpointing time over the steady pre-failure window, so the
     # metric reflects the protocol rather than the recovery backlog
     # transient; totals/invalid still cover the whole run
     t_cut = cfg.fail_at if cfg.fail_at is not None else float("inf")
-    cf_steady = cf[cf["ts"] < t_cut] if len(cf) else cf
-    rf_steady = rf[rf["start"] < t_cut] if len(rf) else rf
     if cfg.protocol == "COOR":
         # a COOR "checkpoint" is a completed round (§V): its time is the
         # round duration, and only completed-round snapshots count
-        done = set(rf["round_id"]) if len(rf) else set()
-        counted = cf[cf["round_id"].isin(done)] if len(cf) else cf
-        ckpt_total = int(len(counted))
-        avg_ckpt = float(rf_steady["duration"].mean()) if len(rf_steady) else float("nan")
+        done = {r["round_id"] for r in tel.rounds}
+        ckpt_total = sum(m.round_id in done for m in ckpts)
+        steady = [r["duration"] for r in tel.rounds if r["start"] < t_cut]
     else:
-        ckpt_total = int(len(cf))
-        avg_ckpt = float(cf_steady["duration"].mean()) if len(cf_steady) else float("nan")
+        ckpt_total = len(ckpts)
+        steady = [m.duration for m in ckpts if m.ts < t_cut]
+    # np.mean sums pairwise, as pandas' Series.mean does, so the value is
+    # bit-identical to the frame-based reference in tests/helpers.py
+    avg_ckpt = float(np.mean(np.array(steady, dtype=np.float64))) if steady else float("nan")
     rec = tel.recovery
     row = MetricsRow(
         query=cfg.query,
@@ -157,7 +164,7 @@ def metrics_row(cfg: ExperimentConfig, res: SimResult, mst: float) -> Dict:
         proto_msg_bytes=int(tel.proto_msg_bytes),
         n_data_msgs=int(tel.n_data_msgs),
         ckpt_total=ckpt_total,
-        ckpt_forced=int((cf["kind"] == "forced").sum()) if len(cf) else 0,
+        ckpt_forced=sum(m.kind == "forced" for m in ckpts),
         avg_ckpt_time=avg_ckpt,
         invalid=int(rec.get("invalid", 0)),
         restart_time=float(rec.get("restart_time", float("nan"))),
@@ -196,6 +203,8 @@ def spark_session(app: str = "repro") -> SparkSession:
     after launch are set here. Shuffle partitions come from
     ``SPARK_SHUFFLE_PARTITIONS`` (default 64). Broadcast joins are off so
     the batch references exercise the shuffle path."""
+    from pyspark.sql import SparkSession
+
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
@@ -206,14 +215,9 @@ def spark_session(app: str = "repro") -> SparkSession:
     )
 
 
-_SPARK_TYPES = {str: T.StringType(), int: T.LongType(), float: T.DoubleType()}
-_SCHEMA = T.StructType(
-    [T.StructField(name, _SPARK_TYPES[t]) for name, t in get_type_hints(MetricsRow).items()]
-)
-METRIC_COLUMNS = [f.name for f in _SCHEMA.fields]
-
-
 def _run_group(pdf: pd.DataFrame) -> pd.DataFrame:
+    import pandas as pd
+
     cfg = ExperimentConfig.from_dict(json.loads(pdf.iloc[0]["cfg"]))
     row, _ = run_config(cfg)
     return pd.DataFrame([row], columns=METRIC_COLUMNS)
@@ -221,13 +225,21 @@ def _run_group(pdf: pd.DataFrame) -> pd.DataFrame:
 
 def sweep(spark: SparkSession, cfgs: Iterable[ExperimentConfig]) -> DataFrame:
     """Run all configs in parallel on Spark; one task per config."""
+    from pyspark.sql import types as T
+
+    spark_types = {str: T.StringType(), int: T.LongType(), float: T.DoubleType()}
+    schema = T.StructType(
+        [T.StructField(name, spark_types[t]) for name, t in get_type_hints(MetricsRow).items()]
+    )
     cfgs = list(cfgs)
     rows = [(i, json.dumps(c.to_dict())) for i, c in enumerate(cfgs)]
     df = spark.createDataFrame(rows, "id int, cfg string").repartition(len(rows), "id")
-    return df.groupBy("id").applyInPandas(_run_group, schema=_SCHEMA)
+    return df.groupBy("id").applyInPandas(_run_group, schema=schema)
 
 
 def sweep_local(cfgs: Iterable[ExperimentConfig]) -> pd.DataFrame:
     """Serial fallback (used by unit tests that avoid Spark overhead)."""
+    import pandas as pd
+
     rows = [run_config(cfg)[0] for cfg in cfgs]
     return pd.DataFrame(rows, columns=METRIC_COLUMNS)

@@ -1,7 +1,7 @@
 """Telemetry collected during a simulation run.
 
-One run produces small pandas frames (checkpoints, rounds) plus recovery
-bookkeeping, aggregate byte counters and the sink latency log of
+One run produces plain lists (counted checkpoints, COOR rounds) plus
+recovery bookkeeping, aggregate byte counters and the sink latency log of
 ``(sink_ts, ingest_ts)`` pairs, one per first arrival of a sink record.
 ``core.harness.metrics_row`` flattens them into one metrics row per run;
 keeping per-message data as counters (not rows) bounds memory at
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
-
-import pandas as pd
 
 from .messages import MARKER_BYTES
 from .state import CheckpointMeta
@@ -58,22 +56,6 @@ class Telemetry:
         self.rounds.append(
             dict(round_id=round_id, start=start, end=end, duration=end - start, n_snapshots=n_snapshots)
         )
-
-    # -- frame exports -----------------------------------------------------
-    def checkpoints_frame(self) -> pd.DataFrame:
-        cols = ["op", "instance", "index", "ts", "kind", "duration", "state_bytes", "round_id"]
-        return pd.DataFrame(
-            [
-                (m.instance[0], m.instance[1], m.index, m.ts, m.kind, m.duration,
-                 m.state_bytes, m.round_id)
-                for m in self.checkpoints
-            ],
-            columns=cols,
-        )
-
-    def rounds_frame(self) -> pd.DataFrame:
-        cols = ["round_id", "start", "end", "duration", "n_snapshots"]
-        return pd.DataFrame(self.rounds, columns=cols)
 
     def total_message_bytes(self) -> int:
         return (

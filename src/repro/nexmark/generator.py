@@ -7,8 +7,8 @@ routes a configurable fraction of events to a small hot key set (the
 skewed-workload experiments, Fig. 12/13).
 
 Events are produced as :class:`repro.dataflow.messages.Record` lists ready
-to be loaded into a :class:`ReplayableLog`, and as pandas frames (via
-``records_frame``) for the Spark/DuckDB batch references.
+to be loaded into a :class:`ReplayableLog`; ``spark_queries.records_frame``
+turns them into pandas frames for the Spark/DuckDB batch references.
 
 Draw-order contract: each generator's records are a function of its seed
 through a fixed sequence of numpy ``Generator`` draws, the sequence a
@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
-import pandas as pd
 
 from repro.dataflow.kafka_sim import ReplayableLog
 from repro.dataflow.messages import Record
@@ -171,14 +170,6 @@ def persons_auctions(
         )
     ]
     return persons, auctions
-
-
-# -- pandas frames for the Spark/DuckDB batch references -------------------
-
-
-def records_frame(records: List[Record]) -> pd.DataFrame:
-    """One row per record: ``uid``, ``ts`` and the value's fields."""
-    return pd.DataFrame([{"uid": r.uid, "ts": r.ingest_ts, **r.value} for r in records])
 
 
 # -- topic helpers ---------------------------------------------------------

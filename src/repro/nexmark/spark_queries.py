@@ -2,7 +2,8 @@
 
 Every streaming query the simulator executes has a batch-equivalent
 DataFrame program here, plus the DuckDB SQL the oracle
-(:func:`repro.oracle.assert_equivalent`) checks it against. The simulator's
+(:func:`repro.oracle.assert_equivalent`) checks it against; its inputs are
+the generators' records as pandas frames (``records_frame``). The simulator's
 sink output is converted to frames with the ``sim_*_frame`` helpers and
 verified against the *same* SQL — so a protocol bug that loses or
 duplicates messages during recovery fails the oracle, not just a unit
@@ -19,7 +20,15 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.dataflow.messages import Record
+
 from .queries import EUR_RATE, WINDOW_SECONDS
+
+
+def records_frame(records: List[Record]) -> pd.DataFrame:
+    """One row per generated record: ``uid``, ``ts`` and the value's fields."""
+    return pd.DataFrame([{"uid": r.uid, "ts": r.ingest_ts, **r.value} for r in records])
+
 
 # ---------------------------------------------------------------------------
 # Q1 — currency conversion map

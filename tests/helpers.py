@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import zlib
 from functools import lru_cache
-from typing import Optional
+from typing import Dict, Optional
+
+import pandas as pd
 
 from repro.core.config import make_protocol
 from repro.dataflow.simulator import Simulation, SimResult
+from repro.dataflow.telemetry import Telemetry
 from repro.nexmark.cyclic import cyclic_events, reachability_graph
 from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
@@ -80,3 +83,48 @@ def run_cyclic(
     proto = make_protocol(protocol, INTERVAL, INTERVAL)
     sim = Simulation(reachability_graph(), w, proto, topics, seed=0)
     return sim.run(duration, fail_at=fail_at)
+
+
+# -- pandas frames of a run's checkpoints and rounds ------------------------
+# The DuckDB oracles read these, and ``frame_ckpt_metrics`` is the
+# frame-based reference for the checkpoint columns of ``metrics_row``.
+
+
+def checkpoints_frame(tel: Telemetry) -> pd.DataFrame:
+    cols = ["op", "instance", "index", "ts", "kind", "duration", "state_bytes", "round_id"]
+    return pd.DataFrame(
+        [
+            (m.instance[0], m.instance[1], m.index, m.ts, m.kind, m.duration,
+             m.state_bytes, m.round_id)
+            for m in tel.checkpoints
+        ],
+        columns=cols,
+    )
+
+
+def rounds_frame(tel: Telemetry) -> pd.DataFrame:
+    cols = ["round_id", "start", "end", "duration", "n_snapshots"]
+    return pd.DataFrame(tel.rounds, columns=cols)
+
+
+def frame_ckpt_metrics(protocol: str, fail_at: Optional[float], tel: Telemetry) -> Dict:
+    """``ckpt_total``, ``ckpt_forced`` and ``avg_ckpt_time`` computed from
+    the checkpoint and round frames with pandas."""
+    cf = checkpoints_frame(tel)
+    rf = rounds_frame(tel)
+    t_cut = fail_at if fail_at is not None else float("inf")
+    cf_steady = cf[cf["ts"] < t_cut] if len(cf) else cf
+    rf_steady = rf[rf["start"] < t_cut] if len(rf) else rf
+    if protocol == "COOR":
+        done = set(rf["round_id"]) if len(rf) else set()
+        counted = cf[cf["round_id"].isin(done)] if len(cf) else cf
+        ckpt_total = int(len(counted))
+        avg_ckpt = float(rf_steady["duration"].mean()) if len(rf_steady) else float("nan")
+    else:
+        ckpt_total = int(len(cf))
+        avg_ckpt = float(cf_steady["duration"].mean()) if len(cf_steady) else float("nan")
+    return dict(
+        ckpt_total=ckpt_total,
+        ckpt_forced=int((cf["kind"] == "forced").sum()) if len(cf) else 0,
+        avg_ckpt_time=avg_ckpt,
+    )

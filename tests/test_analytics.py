@@ -7,6 +7,7 @@ import duckdb
 import pandas as pd
 import pytest
 
+from helpers import checkpoints_frame, rounds_frame
 from repro.analytics.checkpoints import INVALID_SQL, invalid_summary
 from repro.analytics.overhead import OVERHEAD_SQL, overhead_ratios
 from repro.core.config import ExperimentConfig
@@ -139,7 +140,7 @@ class TestCheckpointAnalytics:
     def test_checkpoint_times_match_duckdb(self, fail_run):
         cfg, row, res, _ = fail_run
         (total, forced, avg) = duckdb_one(
-            CKPT_TIME_SQL, [cfg.fail_at], ckpts=res.telemetry.checkpoints_frame()
+            CKPT_TIME_SQL, [cfg.fail_at], ckpts=checkpoints_frame(res.telemetry)
         )
         assert row["ckpt_total"] == total > 0
         assert row["ckpt_forced"] == forced
@@ -149,7 +150,7 @@ class TestCheckpointAnalytics:
         cfg, row, res, _ = coor_fail_run
         (total, avg) = duckdb_one(
             COOR_CKPT_TIME_SQL, [cfg.fail_at],
-            ckpts=res.telemetry.checkpoints_frame(), rounds=res.telemetry.rounds_frame(),
+            ckpts=checkpoints_frame(res.telemetry), rounds=rounds_frame(res.telemetry),
         )
         assert row["ckpt_total"] == total > 0
         assert row["avg_ckpt_time"] == pytest.approx(avg, rel=1e-12)

@@ -12,9 +12,9 @@ from repro.nexmark.generator import (
     _PCG64Stream,
     bids,
     persons_auctions,
-    records_frame,
     topics_for_query,
 )
+from repro.nexmark.spark_queries import records_frame
 
 
 class TestBids:

@@ -1,14 +1,26 @@
 """Tests for the experiment harness and the Spark-parallel sweep."""
 import json
+import math
 from typing import get_type_hints
 
 import pandas as pd
 import pytest
 
+from helpers import (
+    DURATION,
+    FAIL_AT,
+    RATE,
+    W,
+    frame_ckpt_metrics,
+    rounds_frame,
+    run_cyclic,
+    run_query,
+)
 from repro.core.config import ExperimentConfig, UNC_INTERVALS, build, make_protocol
 from repro.core.harness import (
     METRIC_COLUMNS,
     MetricsRow,
+    metrics_row,
     resolve_rate,
     run_config,
     sweep,
@@ -109,8 +121,65 @@ class TestMetricsRow:
                                duration=8.0, fail_at=None, coor_interval=2.0)
         row, res = run_config(cfg, keep_result=True)
         assert row["avg_ckpt_time"] == pytest.approx(
-            res.telemetry.rounds_frame()["duration"].mean()
+            rounds_frame(res.telemetry)["duration"].mean()
         )
+
+
+def _ckpt_columns(query, protocol, fail_at=None, duration=DURATION):
+    """(metrics_row's checkpoint columns, the frame reference's, run) for
+    one cached helper run."""
+    if query == "cyclic":
+        res = run_cyclic(protocol, fail_at=fail_at, deletions=True)
+        cfg = ExperimentConfig(query=query, protocol=protocol, workers=W, rate=100.0,
+                               duration=5.0, fail_at=fail_at)
+    else:
+        res = run_query(query, protocol, fail_at=fail_at, duration=duration)
+        cfg = ExperimentConfig(query=query, protocol=protocol, workers=W, rate=RATE,
+                               duration=duration, fail_at=fail_at)
+    row = metrics_row(cfg, res, float("nan"))
+    ref = frame_ckpt_metrics(protocol, fail_at, res.telemetry)
+    return {k: row[k] for k in ref}, ref, res
+
+
+def _assert_same(got, ref):
+    """Exact equality, NaN equal to NaN, types included."""
+    for k, v in ref.items():
+        assert type(got[k]) is type(v), k
+        assert got[k] == v or (math.isnan(got[k]) and math.isnan(v)), (k, got[k], v)
+
+
+class TestCheckpointColumnsMatchFrames:
+    """``metrics_row``'s ``ckpt_total``/``ckpt_forced``/``avg_ckpt_time``
+    equal the pandas frame computation of ``helpers.frame_ckpt_metrics``
+    bit for bit."""
+
+    @pytest.mark.parametrize("fail_at", [None, FAIL_AT])
+    @pytest.mark.parametrize("protocol", ["COOR", "UNC", "CIC"])
+    @pytest.mark.parametrize("query", ["q1", "q3", "q8", "q12"])
+    def test_queries(self, query, protocol, fail_at):
+        got, ref, _ = _ckpt_columns(query, protocol, fail_at)
+        _assert_same(got, ref)
+        assert got["ckpt_total"] > 0
+
+    @pytest.mark.parametrize("fail_at", [None, 3.0])
+    @pytest.mark.parametrize("protocol", ["UNC", "CIC"])
+    def test_cyclic(self, protocol, fail_at):
+        got, ref, _ = _ckpt_columns("cyclic", protocol, fail_at)
+        _assert_same(got, ref)
+        assert got["ckpt_total"] > 0
+
+    def test_coor_failure_inside_round(self):
+        # q3's third round runs from 6.0 to about 6.02: the failure aborts
+        # it, so some snapshots belong to no completed round
+        got, ref, res = _ckpt_columns("q3", "COOR", 6.01)
+        _assert_same(got, ref)
+        assert 0 < got["ckpt_total"] < len(res.telemetry.checkpoints)
+
+    def test_no_counted_checkpoint(self):
+        # the first COOR round starts at 2.0, after this run ends
+        got, ref, _ = _ckpt_columns("q1", "COOR", duration=1.5)
+        _assert_same(got, ref)
+        assert got["ckpt_total"] == 0 and math.isnan(got["avg_ckpt_time"])
 
 
 class TestSweep:

@@ -1,7 +1,7 @@
 """Tests for the coordinated aligned protocol (paper §III-A)."""
 import pytest
 
-from helpers import run_query
+from helpers import rounds_frame, run_query
 from repro.dataflow.simulator import Simulation
 from repro.nexmark.cyclic import cyclic_topics, reachability_graph
 from repro.nexmark.generator import topics_for_query
@@ -70,7 +70,7 @@ class TestAlignment:
 
     def test_rounds_complete_and_are_timed(self):
         sim, res = coor_run("q1")
-        rf = res.telemetry.rounds_frame()
+        rf = rounds_frame(res.telemetry)
         assert len(rf) >= 3
         assert (rf["duration"] > 0).all()
 
@@ -81,7 +81,7 @@ class TestAlignment:
 
     def test_round_ids_monotone(self):
         sim, res = coor_run("q1")
-        rids = list(res.telemetry.rounds_frame()["round_id"])
+        rids = list(rounds_frame(res.telemetry)["round_id"])
         assert rids == sorted(rids)
 
 

@@ -8,7 +8,7 @@ oracle-checked against DuckDB), not just against another simulator run.
 import pytest
 
 from helpers import FAIL_AT, cyclic_workload, run_cyclic, run_query
-from repro.nexmark.generator import bids, persons_auctions, records_frame
+from repro.nexmark.generator import bids, persons_auctions
 from repro.nexmark.spark_queries import (
     Q1_SQL,
     Q3_SQL,
@@ -19,6 +19,7 @@ from repro.nexmark.spark_queries import (
     sim_q8_frame,
     sim_q12_frame,
     reachability_batch,
+    records_frame,
     sim_reachability_frame,
 )
 from repro.oracle import assert_equivalent

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import FAIL_AT, INTERVAL, W, run_cyclic, run_query
+from helpers import FAIL_AT, INTERVAL, W, checkpoints_frame, run_cyclic, run_query
 from repro.core.config import ExperimentConfig, build, make_protocol
 from repro.core.mst import measure_mst
 from repro.dataflow.costs import SimCost
@@ -159,7 +159,7 @@ class TestByteAccounting:
 
     def test_telemetry_frames_shapes(self):
         res = run_query("q12", "UNC", fail_at=6.0)
-        cf = res.telemetry.checkpoints_frame()
+        cf = checkpoints_frame(res.telemetry)
         assert set(cf.columns) >= {"op", "instance", "index", "ts", "kind", "duration"}
 
 

@@ -7,7 +7,7 @@ window assignment fails here, not just "it ran".
 import pandas as pd
 import pytest
 
-from repro.nexmark.generator import bids, persons_auctions, records_frame
+from repro.nexmark.generator import bids, persons_auctions
 from repro.nexmark.spark_queries import (
     Q1_SQL,
     Q3_SQL,
@@ -19,6 +19,7 @@ from repro.nexmark.spark_queries import (
     q12_batch,
     reachability_batch,
     reachability_sql,
+    records_frame,
 )
 from repro.oracle import assert_equivalent
 
