@@ -1,13 +1,13 @@
 """Benchmark: regenerate Table II (message-overhead ratios) at reduced
 scale (6 workers, 20 s, q1 + q12)."""
-from repro.core.harness import sweep_local
+from repro.core.harness import sweep
 from repro.core.tables import table23_configs
 
 
 def run_grid():
     cfgs = table23_configs(workers=(6,), queries=("q1", "q12"), duration=20.0,
                            fail_at=8.0)
-    return sweep_local(cfgs)
+    return sweep(cfgs)
 
 
 def test_table2_overhead(benchmark):

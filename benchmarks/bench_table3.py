@@ -1,6 +1,6 @@
 """Benchmark: regenerate Table III (total / invalid checkpoints) at
 reduced scale (6 workers, 20 s, q3 + q12, failure at 8 s)."""
-from repro.core.harness import sweep_local
+from repro.core.harness import sweep
 from repro.core.tables import table23_configs
 
 
@@ -11,7 +11,7 @@ def run_grid():
                                  fail_at=8.0)
         if c.protocol != "none"
     ]
-    return sweep_local(cfgs)
+    return sweep(cfgs)
 
 
 def test_table3_invalid(benchmark):

@@ -1,12 +1,12 @@
 """Benchmark: regenerate Table IV (cyclic query CT/RT/IC) at reduced scale
 (4 workers, 20 s, failure at 14 s)."""
-from repro.core.harness import sweep_local
+from repro.core.harness import sweep
 from repro.core.tables import table4_configs, table4_frame
 
 
 def run_grid():
     cfgs = table4_configs(workers=(4,), duration=20.0, fail_at=14.0, n_nodes=20_000)
-    return sweep_local(cfgs)
+    return sweep(cfgs)
 
 
 def test_table4_cyclic(benchmark):

@@ -15,27 +15,24 @@ import pandas as pd
 import _session  # noqa: F401  (path bootstrap)
 
 from repro.core.mst import measure_mst
+from repro.core.tables import PROTOCOLS, fig7_frame
 
 
 def main() -> None:
     quick = "--quick" in sys.argv
     workers = (10,) if quick else (10, 50)
     queries = ("q1", "q12") if quick else ("q1", "q3", "q8", "q12")
-    rows = []
-    for w in workers:
-        for q in queries:
-            base = measure_mst(q, "none", w)
-            for p in ["COOR", "UNC", "CIC"]:
-                rows.append(
-                    dict(
-                        query=q,
-                        workers=w,
-                        protocol=p,
-                        mst=round(measure_mst(q, p, w), 1),
-                        normalized=round(measure_mst(q, p, w) / base, 3),
-                    )
-                )
-    print(pd.DataFrame(rows).to_string(index=False))
+    msts = pd.DataFrame(
+        [
+            dict(query=q, workers=w, protocol=p, mst=measure_mst(q, p, w))
+            for w in workers
+            for q in queries
+            for p in ["none"] + PROTOCOLS
+        ]
+    )
+    out = fig7_frame(msts)
+    out["mst"] = [round(m, 1) for m in out.mst]
+    print(out.to_string(index=False))
 
 
 if __name__ == "__main__":

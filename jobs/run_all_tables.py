@@ -11,15 +11,13 @@ from __future__ import annotations
 import sys
 import time
 
-import pandas as pd
-
 import _session  # noqa: F401  (path bootstrap)
 
 from repro.core.features import matches_paper_table1, render_table1
-from repro.core.harness import spark_session
+from repro.core.harness import spark_session, sweep
 from repro.core.tables import (
+    fig7_frame,
     render,
-    run_metrics,
     skew_configs,
     skew_frame,
     table23_configs,
@@ -40,32 +38,24 @@ def main() -> None:
 
     workers = (10,) if quick else (10, 50)
     cfgs23 = table23_configs(workers=workers)
-    m23 = run_metrics(cfgs23, spark)
+    m23 = sweep(cfgs23, spark)
     print(render(table2_frame(spark, m23), "Table II — message overhead ratio"))
     print(render(table3_frame(spark, m23), "Table III — total / invalid checkpoints"))
     print(f"[t23 done at {time.time()-t0:.0f}s]")
 
     cfgs4 = table4_configs(workers=(5,) if quick else (5, 10))
-    m4 = run_metrics(cfgs4, spark)
+    m4 = sweep(cfgs4, spark)
     print(render(table4_frame(m4), "Table IV — cyclic query (CT/RT/IC)"))
     print(f"[t4 done at {time.time()-t0:.0f}s]")
 
     # every sweep row carries its cell's MST; the "none" rows hold the
     # checkpoint-free MST that normalises the protocols' MSTs
-    mst = {(r["query"], r["workers"], r["protocol"]): r["mst"] for r in m23.to_dict("records")}
-    rows = []
-    for w in workers:
-        for q in ("q1", "q3", "q8", "q12"):
-            base = mst[q, w, "none"]
-            for p in ("COOR", "UNC", "CIC"):
-                rows.append(dict(query=q, workers=w, protocol=p,
-                                 normalized=round(mst[q, w, p] / base, 3)))
-    print(render(pd.DataFrame(rows), "Fig. 7 shape — normalized MST"))
+    print(render(fig7_frame(m23).drop(columns="mst"), "Fig. 7 shape — normalized MST"))
     print(f"[mst done at {time.time()-t0:.0f}s]")
 
     for frac in ((0.5,) if quick else (0.5, 0.8)):
         cfgs_skew = skew_configs(mst_fraction=frac)
-        ms = run_metrics(cfgs_skew, spark)
+        ms = sweep(cfgs_skew, spark)
         print(render(skew_frame(ms),
                      f"Fig. 12 shape — skewed NexMark at {int(frac*100)}% MST"))
     print(f"[all done at {time.time()-t0:.0f}s]")

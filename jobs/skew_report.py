@@ -14,8 +14,8 @@ import sys
 
 import _session  # noqa: F401  (path bootstrap)
 
-from repro.core.harness import spark_session
-from repro.core.tables import render, run_metrics, skew_configs, skew_frame
+from repro.core.harness import spark_session, sweep
+from repro.core.tables import render, skew_configs, skew_frame
 
 
 def main() -> None:
@@ -26,7 +26,7 @@ def main() -> None:
         if quick
         else skew_configs()
     )
-    metrics = run_metrics(cfgs, spark)
+    metrics = sweep(cfgs, spark)
     print(render(skew_frame(metrics), "Skewed NexMark — p50 & avg checkpoint time"))
     spark.stop()
 

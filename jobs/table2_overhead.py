@@ -12,8 +12,8 @@ import sys
 
 import _session  # noqa: F401  (path bootstrap)
 
-from repro.core.harness import spark_session
-from repro.core.tables import render, run_metrics, table2_frame, table23_configs
+from repro.core.harness import spark_session, sweep
+from repro.core.tables import render, table2_frame, table23_configs
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
         if quick
         else table23_configs(workers=(10, 50))
     )
-    metrics = run_metrics(cfgs, spark)
+    metrics = sweep(cfgs, spark)
     print(render(table2_frame(spark, metrics), "Table II — message overhead ratio"))
     spark.stop()
 

@@ -10,8 +10,8 @@ import sys
 
 import _session  # noqa: F401  (path bootstrap)
 
-from repro.core.harness import spark_session
-from repro.core.tables import render, run_metrics, table3_frame, table23_configs
+from repro.core.harness import spark_session, sweep
+from repro.core.tables import render, table3_frame, table23_configs
 
 
 def main() -> None:
@@ -22,7 +22,7 @@ def main() -> None:
         if quick
         else table23_configs(workers=(10, 50))
     )
-    metrics = run_metrics(cfgs, spark)
+    metrics = sweep(cfgs, spark)
     print(render(table3_frame(spark, metrics), "Table III — total / invalid checkpoints"))
     spark.stop()
 

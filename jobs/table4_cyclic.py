@@ -12,8 +12,8 @@ import sys
 
 import _session  # noqa: F401  (path bootstrap)
 
-from repro.core.harness import spark_session
-from repro.core.tables import render, run_metrics, table4_configs, table4_frame
+from repro.core.harness import spark_session, sweep
+from repro.core.tables import render, table4_configs, table4_frame
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
         if quick
         else table4_configs()
     )
-    metrics = run_metrics(cfgs, spark)
+    metrics = sweep(cfgs, spark)
     print(render(table4_frame(metrics), "Table IV — cyclic query (CT/RT/IC)"))
     spark.stop()
 

@@ -20,8 +20,7 @@ WHERE protocol <> 'none'
 
 def invalid_summary(spark: SparkSession, metrics: pd.DataFrame) -> DataFrame:
     """Total checkpoints and invalid percentage per table cell."""
-    df = spark.createDataFrame(metrics) if isinstance(metrics, pd.DataFrame) else metrics
-    return df.where(F.col("protocol") != "none").select(
+    return spark.createDataFrame(metrics).where(F.col("protocol") != "none").select(
         "query",
         "workers",
         "protocol",

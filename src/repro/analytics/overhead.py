@@ -29,9 +29,9 @@ WHERE protocol <> 'none'
 
 def overhead_ratios(spark: SparkSession, metrics: pd.DataFrame) -> DataFrame:
     """Per (query, workers, protocol) traffic ratio vs protocol-free bytes."""
-    df = spark.createDataFrame(metrics) if isinstance(metrics, pd.DataFrame) else metrics
     return (
-        df.where(F.col("protocol") != "none")
+        spark.createDataFrame(metrics)
+        .where(F.col("protocol") != "none")
         .select(
             "query",
             "workers",

@@ -10,7 +10,7 @@ publish its intervals and §III-B explicitly allows per-operator intervals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.dataflow.simulator import Simulation, gc_paused
@@ -58,13 +58,6 @@ class ExperimentConfig:
     seed: int = 7
     coor_interval: float = COOR_INTERVAL
     n_nodes: int = 1_000_000  #: cyclic query node-set size (paper: 1M static nodes)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(**d)
 
 
 def make_protocol(name: str, interval: float, round_interval: float) -> Protocol:

@@ -1,14 +1,16 @@
 """Experiment harness: single runs and Spark-parallel sweeps.
 
 ``run_config`` executes one simulation and flattens it into a metrics row
-(the paper's §V metrics). ``sweep`` distributes a grid of configs over
-Spark with ``applyInPandas`` — one simulation per group, metrics rows back
-as a DataFrame — which is how the table jobs execute the full
-(protocol x query x parallelism) grid on all cores.
+(the paper's §V metrics). ``sweep`` runs a grid of configs and returns
+their rows as a pandas frame in submission order: with a SparkSession
+each config is one Spark task (``parallelize`` with one slice per config,
+``map``, ``collect``), which is how the table jobs execute the full
+(protocol x query x parallelism) grid on all cores; without one it runs
+them serially.
 
 A single run needs numpy alone: pandas and pyspark are imported inside the
-Spark half (``spark_session``, ``sweep``, ``sweep_local``), so a process
-that only simulates never loads them (DESIGN.md §2).
+Spark half (``spark_session``, ``sweep``), so a process that only
+simulates never loads them (DESIGN.md §2).
 
 A config's ``rate`` may be negative, meaning "that fraction of the
 measured MST": ``rate=-0.8`` runs at 80 % of the per-(query, protocol,
@@ -16,10 +18,9 @@ parallelism) maximum sustainable throughput, the paper's operating point.
 """
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, get_type_hints
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .mst import measure_mst
 
 if TYPE_CHECKING:
     import pandas as pd
-    from pyspark.sql import DataFrame, SparkSession
+    from pyspark.sql import SparkSession
 
 WARMUP = 5.0  #: seconds excluded from steady-state latency stats
 
@@ -42,21 +43,10 @@ def recovered_threshold(baseline_p50: float) -> float:
     return max(3 * baseline_p50, baseline_p50 + 0.1)
 
 
-def resolve_rate(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Resolve a fractional (negative) rate against the measured MST."""
-    if cfg.rate >= 0:
-        return cfg
-    frac = -cfg.rate
-    mst = measure_mst(cfg.query, cfg.protocol, cfg.workers)
-    d = cfg.to_dict()
-    d["rate"] = frac * mst
-    return ExperimentConfig.from_dict(d)
-
-
 @dataclass
 class MetricsRow:
-    """One run's metrics (paper §V), in column order; the Spark sweep
-    schema and ``METRIC_COLUMNS`` are derived from these annotations."""
+    """One run's metrics (paper §V), in column order; ``METRIC_COLUMNS``
+    is derived from these annotations."""
 
     query: str
     protocol: str
@@ -181,11 +171,13 @@ def metrics_row(cfg: ExperimentConfig, res: SimResult, mst: float) -> Dict:
 
 
 def run_config(cfg: ExperimentConfig, keep_result: bool = False):
-    """Run one config; returns (metrics_row, SimResult|None)."""
+    """Run one config; returns (metrics_row, SimResult|None). A fractional
+    (negative) rate is resolved against the measured MST first, and the
+    row records that MST (NaN for an absolute rate)."""
     mst = float("nan")
     if cfg.rate < 0:
         mst = measure_mst(cfg.query, cfg.protocol, cfg.workers)
-        cfg = resolve_rate(cfg)
+        cfg = replace(cfg, rate=-cfg.rate * mst)
     sim = build(cfg)
     res = sim.run(cfg.duration, fail_at=cfg.fail_at)
     return metrics_row(cfg, res, mst), (res if keep_result else None)
@@ -215,31 +207,17 @@ def spark_session(app: str = "repro") -> SparkSession:
     )
 
 
-def _run_group(pdf: pd.DataFrame) -> pd.DataFrame:
+def _row(cfg: ExperimentConfig) -> Dict:
+    return run_config(cfg)[0]
+
+
+def sweep(cfgs: Sequence[ExperimentConfig], spark: Optional[SparkSession] = None) -> pd.DataFrame:
+    """Run every config and return their metrics rows in submission order:
+    one Spark task per config when a session is given, serially otherwise."""
     import pandas as pd
 
-    cfg = ExperimentConfig.from_dict(json.loads(pdf.iloc[0]["cfg"]))
-    row, _ = run_config(cfg)
-    return pd.DataFrame([row], columns=METRIC_COLUMNS)
-
-
-def sweep(spark: SparkSession, cfgs: Iterable[ExperimentConfig]) -> DataFrame:
-    """Run all configs in parallel on Spark; one task per config."""
-    from pyspark.sql import types as T
-
-    spark_types = {str: T.StringType(), int: T.LongType(), float: T.DoubleType()}
-    schema = T.StructType(
-        [T.StructField(name, spark_types[t]) for name, t in get_type_hints(MetricsRow).items()]
-    )
-    cfgs = list(cfgs)
-    rows = [(i, json.dumps(c.to_dict())) for i, c in enumerate(cfgs)]
-    df = spark.createDataFrame(rows, "id int, cfg string").repartition(len(rows), "id")
-    return df.groupBy("id").applyInPandas(_run_group, schema=schema)
-
-
-def sweep_local(cfgs: Iterable[ExperimentConfig]) -> pd.DataFrame:
-    """Serial fallback (used by unit tests that avoid Spark overhead)."""
-    import pandas as pd
-
-    rows = [run_config(cfg)[0] for cfg in cfgs]
+    if spark is None:
+        rows = list(map(_row, cfgs))
+    else:
+        rows = spark.sparkContext.parallelize(cfgs, len(cfgs)).map(_row).collect()
     return pd.DataFrame(rows, columns=METRIC_COLUMNS)

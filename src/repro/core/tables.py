@@ -1,9 +1,10 @@
 """Assemble the paper's evaluation tables from experiment sweeps.
 
-Each ``table*`` function runs the grid the paper ran (scaled to the
-simulator, DESIGN.md §3) and returns a tidy pandas frame with the paper's
-reported value alongside ours. ``render_*`` helpers format them for the
-jobs and EXPERIMENTS.md.
+Each ``*_configs`` function builds the grid the paper ran (scaled to the
+simulator, DESIGN.md §3); ``harness.sweep`` runs it. Each ``*_frame``
+function formats the sweep's metrics rows into a tidy pandas frame, with
+the paper's reported value alongside ours where the paper gives one.
+``render`` formats a frame for the jobs and EXPERIMENTS.md.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from repro.analytics.checkpoints import invalid_summary
 from repro.analytics.overhead import overhead_ratios
 
 from .config import CYCLIC_FAIL_AT, FAIL_AT, RUN_DURATION, ExperimentConfig
-from .harness import sweep, sweep_local
 
 QUERIES_T23 = ["q1", "q3", "q8", "q12"]
 PROTOCOLS = ["COOR", "UNC", "CIC"]
@@ -137,17 +137,8 @@ def skew_configs(
 
 
 # ---------------------------------------------------------------------------
-# Runners
+# Frames
 # ---------------------------------------------------------------------------
-
-def run_metrics(
-    cfgs: List[ExperimentConfig], spark: Optional[SparkSession] = None
-) -> pd.DataFrame:
-    """Execute a config grid — Spark-parallel when a session is given."""
-    if spark is not None:
-        return sweep(spark, cfgs).toPandas()
-    return sweep_local(cfgs)
-
 
 def table2_frame(spark: SparkSession, metrics: pd.DataFrame) -> pd.DataFrame:
     """Table II with paper values alongside."""
@@ -192,6 +183,20 @@ def table4_frame(metrics: pd.DataFrame) -> pd.DataFrame:
             )
         )
     return pd.DataFrame(rows).sort_values(["workers", "protocol"]).reset_index(drop=True)
+
+
+def fig7_frame(metrics: pd.DataFrame) -> pd.DataFrame:
+    """Fig. 7 shape: each protocol's MST normalised by the checkpoint-free
+    MST of the same (query, workers). ``metrics`` holds an ``mst`` per
+    (query, workers, protocol), the "none" protocol included; the protocol
+    rows keep their order."""
+    rows = metrics[["query", "workers", "protocol", "mst"]]
+    base = rows[rows.protocol == "none"].set_index(["query", "workers"]).mst.to_dict()
+    out = rows[rows.protocol != "none"].reset_index(drop=True)
+    out["normalized"] = [
+        round(m / base[q, w], 3) for q, w, m in zip(out["query"], out.workers, out.mst)
+    ]
+    return out
 
 
 def skew_frame(metrics: pd.DataFrame) -> pd.DataFrame:

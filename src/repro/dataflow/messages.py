@@ -96,7 +96,6 @@ PAYLOAD_BYTES = {
     "link": 30,
     "source_node": 40,
     "pair": 60,
-    "path": 52,
     "event": 32,
 }
 
@@ -106,9 +105,9 @@ CKPT_META_BYTES = 48  #: UNC per-checkpoint metadata message to the coordinator
 
 def payload_bytes_for(record: Record) -> int:
     """Wire payload size for a record, with a variable-path-length term for
-    the cyclic query's path records."""
+    the cyclic query's source-node records."""
     base = PAYLOAD_BYTES.get(record.kind, PAYLOAD_BYTES["event"])
-    if record.kind in ("source_node", "path") and isinstance(record.value, dict):
+    if record.kind == "source_node" and isinstance(record.value, dict):
         path = record.value.get("path")
         if path is not None:
             base += 4 * len(path)

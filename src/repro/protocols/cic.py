@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.dataflow.messages import InstanceId, Kind, Message
+from repro.dataflow.messages import InstanceId, Message
 
 from .uncoordinated import UncoordinatedProtocol
 
@@ -111,7 +111,7 @@ class CICProtocol(UncoordinatedProtocol):
 
     def before_process(self, t: float, inst: InstanceId, msg: Message) -> float:
         pb = msg.piggyback
-        if pb is None or msg.kind is not Kind.DATA:
+        if pb is None:
             return 0.0  # replayed messages carry no live piggyback
         clock, ck, taken, _, s = pb
         st = self.states[inst]

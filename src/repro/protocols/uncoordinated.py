@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict
 
-from repro.dataflow.messages import CKPT_META_BYTES, InstanceId, Kind, Message
+from repro.dataflow.messages import CKPT_META_BYTES, InstanceId, Message
 
 from .base import Protocol, RecoveryPlan
 from .recovery import find_recovery_line
@@ -90,7 +90,7 @@ class UncoordinatedProtocol(Protocol):
 
     # -- data path ---------------------------------------------------------
     def on_send(self, t: float, inst: InstanceId, msg: Message) -> None:
-        if msg.kind is Kind.DATA and not msg.lane.to_sink:
+        if not msg.lane.to_sink:
             self.sim.msg_log.append(msg.lane.ch, msg.seq, msg.record)
 
     # -- recovery ----------------------------------------------------------

@@ -1,5 +1,4 @@
 """Tests for the experiment harness and the Spark-parallel sweep."""
-import json
 import math
 from typing import get_type_hints
 
@@ -21,11 +20,10 @@ from repro.core.harness import (
     METRIC_COLUMNS,
     MetricsRow,
     metrics_row,
-    resolve_rate,
     run_config,
     sweep,
-    sweep_local,
 )
+from repro.core.mst import measure_mst
 from repro.protocols import (
     CICProtocol,
     CoordinatedProtocol,
@@ -35,14 +33,6 @@ from repro.protocols import (
 
 
 class TestConfig:
-    def test_roundtrip(self):
-        cfg = ExperimentConfig(query="q3", protocol="UNC", workers=4, rate=100.0)
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_json_serializable(self):
-        cfg = ExperimentConfig(query="q3", protocol="UNC", workers=4, rate=100.0)
-        assert json.loads(json.dumps(cfg.to_dict()))["query"] == "q3"
-
     @pytest.mark.parametrize(
         "name,cls",
         [
@@ -79,13 +69,18 @@ class TestConfig:
 class TestRates:
     def test_resolve_fractional_rate(self):
         cfg = ExperimentConfig(query="q1", protocol="UNC", workers=2, rate=-0.5,
-                               duration=4.0)
-        resolved = resolve_rate(cfg)
-        assert resolved.rate > 0
+                               duration=4.0, fail_at=None)
+        row, _ = run_config(cfg)
+        mst = measure_mst("q1", "UNC", 2)
+        assert row["mst"] == mst > 0
+        assert row["rate"] == 0.5 * mst
 
     def test_positive_rate_passthrough(self):
-        cfg = ExperimentConfig(query="q1", protocol="UNC", workers=2, rate=123.0)
-        assert resolve_rate(cfg).rate == 123.0
+        cfg = ExperimentConfig(query="q1", protocol="UNC", workers=2, rate=123.0,
+                               duration=4.0, fail_at=None)
+        row, _ = run_config(cfg)
+        assert row["rate"] == 123.0
+        assert math.isnan(row["mst"])
 
 
 class TestMetricsRow:
@@ -186,18 +181,26 @@ class TestSweep:
     CFGS = [
         ExperimentConfig(query="q1", protocol=p, workers=2, rate=200.0, duration=5.0,
                          fail_at=None if p == "none" else 3.0)
-        for p in ["none", "UNC"]
-    ]
+        for p in ["none", "COOR", "UNC", "CIC"]
+    ] + [ExperimentConfig(query="q12", protocol="UNC", workers=2, rate=-0.5, duration=5.0,
+                          fail_at=None)]
 
     def test_sweep_local(self):
-        pdf = sweep_local(self.CFGS)
-        assert list(pdf.columns) == METRIC_COLUMNS and len(pdf) == 2
+        pdf = sweep(self.CFGS)
+        assert list(pdf.columns) == METRIC_COLUMNS
+        assert list(zip(pdf["query"], pdf.protocol)) == [(c.query, c.protocol) for c in self.CFGS]
 
     def test_sweep_spark_matches_local(self, spark):
-        spark_pdf = sweep(spark, self.CFGS).toPandas()
-        local_pdf = sweep_local(self.CFGS)
-        spark_pdf = spark_pdf.sort_values("protocol").reset_index(drop=True)
-        local_pdf = local_pdf.sort_values("protocol").reset_index(drop=True)
+        sc = spark.sparkContext
+        sc.setJobGroup("test-sweep", "one task per config")
+        try:
+            spark_pdf = sweep(self.CFGS, spark)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        status = sc.statusTracker()
+        (job,) = status.getJobIdsForGroup("test-sweep")
+        (stage,) = status.getJobInfo(job).stageIds
+        assert status.getStageInfo(stage).numTasks == len(self.CFGS)
         assert list(spark_pdf.columns) == METRIC_COLUMNS
-        # NaN-aware, and dtypes must agree too
-        pd.testing.assert_frame_equal(spark_pdf, local_pdf, check_exact=True)
+        # row for row, unsorted; NaN-aware, and dtypes must agree too
+        pd.testing.assert_frame_equal(spark_pdf, sweep(self.CFGS), check_exact=True)

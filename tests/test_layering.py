@@ -39,9 +39,12 @@ def test_cell_loads_no_spark_layer_library(tmp_path):
 
 
 def test_pyproject_declares_the_split():
-    """``pyproject.toml`` declares numpy for the simulation path and the
-    Spark layer's libraries as the ``spark`` extra."""
+    """``pyproject.toml`` declares numpy for the simulation path, the
+    Spark layer's libraries as the ``spark`` extra and the test toolchain
+    as the ``test`` extra."""
     with open(SRC.parent / "pyproject.toml", "rb") as f:
         project = tomllib.load(f)["project"]
     assert project["dependencies"] == ["numpy"]
-    assert sorted(project["optional-dependencies"]["spark"]) == sorted(SPARK_LAYER)
+    extras = project["optional-dependencies"]
+    assert sorted(extras["spark"]) == sorted(SPARK_LAYER)
+    assert sorted(extras["test"]) == ["hypothesis", "pytest", "pytest-benchmark"]

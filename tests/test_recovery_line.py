@@ -1,5 +1,6 @@
 """Unit + property tests for the checkpoint graph and rollback propagation
 (paper §III-B, Algorithm 1)."""
+from itertools import product
 from typing import Dict, List
 
 import pytest
@@ -49,6 +50,14 @@ class Builder:
 
     def line(self):
         return find_recovery_line(self.store, self.insts, self.insts)
+
+    def consistent(self, line: Dict[tuple, int]) -> bool:
+        """No channel received more than its sender had sent (no orphan)."""
+        return all(
+            self.store.get((ch[2], ch[3]), line[ch[2], ch[3]]).meta.last_recv[ch]
+            <= self.store.get((ch[0], ch[1]), line[ch[0], ch[1]]).meta.last_sent[ch]
+            for ch in self.channels
+        )
 
 
 class TestSimpleScenarios:
@@ -103,11 +112,7 @@ class TestSimpleScenarios:
         b.checkpoint("A")  # A ckpt2 saw B's post-ckpt... build z-pattern
         line, invalid, _ = b.line()
         # every checkpoint must be consistent across the returned line
-        for ch in b.channels:
-            a, bb = (ch[0], 0), (ch[2], 0)
-            sa = b.store.get(a, line[a]).meta.last_sent[ch]
-            rb = b.store.get(bb, line[bb]).meta.last_recv[ch]
-            assert rb <= sa
+        assert b.consistent(line)
 
     def test_initial_checkpoints_always_fallback(self):
         b = Builder(["A", "B"], [("A", "B")])
@@ -144,12 +149,13 @@ class TestCheckpointGraph:
 
 
 @st.composite
-def execution(draw):
+def execution(draw, min_steps=0):
     """Random consistent execution over a 3-operator ring."""
     ops = ["A", "B", "C"]
     channels = [("A", "B"), ("B", "C"), ("C", "A")]
     b = Builder(ops, channels)
-    steps = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=60))
+    steps = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         min_size=min_steps, max_size=60))
     for kind, which in steps:
         if kind == 0:
             a, c = channels[which]
@@ -171,12 +177,21 @@ class TestRollbackPropagationProperties:
         for inst in b.insts:
             assert 0 <= line[inst] < len(b.store.checkpoints(inst))
         # 2. no orphan across the line (Def. 5 "no orphans")
-        for ch in b.channels:
-            a, bb = (ch[0], 0), (ch[2], 0)
-            sa = b.store.get(a, line[a]).meta.last_sent[ch]
-            rb = b.store.get(bb, line[bb]).meta.last_recv[ch]
-            assert rb <= sa
+        assert b.consistent(line)
         # 3. invalid counts exactly the checkpoints above the line
         assert invalid == sum(
             (len(b.store.checkpoints(i)) - 1) - line[i] for i in b.insts
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(execution(min_steps=30))
+    def test_line_is_the_maximum_consistent_line(self, b):
+        """Consistent lines form a lattice, so the recovery line must be its
+        unique maximum: every consistent candidate line is at or below it
+        in each component."""
+        line, _, _ = b.line()
+        counts = [len(b.store.checkpoints(i)) for i in b.insts]
+        for idx in product(*(range(n) for n in counts)):
+            cand = dict(zip(b.insts, idx))
+            if b.consistent(cand):
+                assert all(cand[i] <= line[i] for i in b.insts), (cand, line)
