@@ -213,11 +213,12 @@ def _row(cfg: ExperimentConfig) -> Dict:
 
 def sweep(cfgs: Sequence[ExperimentConfig], spark: Optional[SparkSession] = None) -> pd.DataFrame:
     """Run every config and return their metrics rows in submission order:
-    one Spark task per config when a session is given, serially otherwise."""
+    one Spark task per config when a session is given, serially otherwise.
+    An empty grid gives an empty frame on both paths."""
     import pandas as pd
 
     if spark is None:
         rows = list(map(_row, cfgs))
     else:
-        rows = spark.sparkContext.parallelize(cfgs, len(cfgs)).map(_row).collect()
+        rows = spark.sparkContext.parallelize(cfgs, max(len(cfgs), 1)).map(_row).collect()
     return pd.DataFrame(rows, columns=METRIC_COLUMNS)

@@ -204,3 +204,11 @@ class TestSweep:
         assert list(spark_pdf.columns) == METRIC_COLUMNS
         # row for row, unsorted; NaN-aware, and dtypes must agree too
         pd.testing.assert_frame_equal(spark_pdf, sweep(self.CFGS), check_exact=True)
+
+    def test_empty_sweep_local(self):
+        pdf = sweep([])
+        assert list(pdf.columns) == METRIC_COLUMNS and pdf.empty
+
+    def test_empty_sweep_spark_matches_local(self, spark):
+        # parallelize() needs at least one slice even for no configs
+        pd.testing.assert_frame_equal(sweep([], spark), sweep([]), check_exact=True)
