@@ -6,7 +6,8 @@ their rows as a pandas frame in submission order: with a SparkSession
 each config is one Spark task (``parallelize`` with one slice per config,
 ``map``, ``collect``), which is how the table jobs execute the full
 (protocol x query x parallelism) grid on all cores; without one it runs
-them serially.
+them serially. Either way the configs run longest first
+(:func:`longest_first`), so the slowest cells do not form the tail.
 
 A single run needs numpy alone: pandas and pyspark are imported inside the
 Spark half (``spark_session``, ``sweep``), so a process that only
@@ -211,14 +212,24 @@ def _row(cfg: ExperimentConfig) -> Dict:
     return run_config(cfg)[0]
 
 
+def longest_first(cfgs: Sequence[ExperimentConfig]) -> List[int]:
+    """Indices of ``cfgs`` in descending ``workers x |rate|``, a proxy for a
+    cell's run time; the sort is stable, so equal cells keep their order."""
+    return sorted(range(len(cfgs)), key=lambda i: -cfgs[i].workers * abs(cfgs[i].rate))
+
+
 def sweep(cfgs: Sequence[ExperimentConfig], spark: Optional[SparkSession] = None) -> pd.DataFrame:
     """Run every config and return their metrics rows in submission order:
     one Spark task per config when a session is given, serially otherwise.
-    An empty grid gives an empty frame on both paths."""
+    The configs are handed out longest first. An empty grid gives an empty
+    frame on both paths."""
     import pandas as pd
 
+    order = longest_first(cfgs)
+    cells = [cfgs[i] for i in order]
     if spark is None:
-        rows = list(map(_row, cfgs))
+        done = list(map(_row, cells))
     else:
-        rows = spark.sparkContext.parallelize(cfgs, max(len(cfgs), 1)).map(_row).collect()
-    return pd.DataFrame(rows, columns=METRIC_COLUMNS)
+        done = spark.sparkContext.parallelize(cells, max(len(cells), 1)).map(_row).collect()
+    by_index = dict(zip(order, done))
+    return pd.DataFrame([by_index[i] for i in range(len(cfgs))], columns=METRIC_COLUMNS)

@@ -17,13 +17,19 @@ Design rules that make exactly-once verifiable:
   no-op. Together with the protocols' sequence-number deduplication this
   yields exactly-once *processing* (paper Def. 3): the post-recovery state
   equals the failure-free state.
-- **Snapshot = structural copy** — asynchronous checkpointing is modelled
-  by copying state at snapshot time; cost is modelled separately from
-  bytes. Only the container levels are copied (:func:`_copy_slots`); the
-  leaves (uid strings, path tuples, record-value dicts) are shared between
-  live state and every snapshot, so **a record value held in state is never
-  mutated** by any operator. ``restore`` copies again, so a stored
-  checkpoint stays intact however the restored state changes later.
+- **Snapshot = copy-on-write** — asynchronous checkpointing is modelled
+  by a snapshot that shares state with the live operator; cost is modelled
+  separately from bytes. State is a table of *slots* (``key -> dict|set``;
+  the window operators keep one table per window and side). A snapshot
+  copies only the table, so it shares every slot with live state, and
+  becomes the operator's *base*. The first write to a slot that is still
+  the base's (:func:`_own`) replaces it by a private copy under the same
+  key, so insertion order is kept at both levels and copy cost follows the
+  slots written since the snapshot. ``restore`` shares the same way and
+  makes the restored snapshot the base, so a stored checkpoint stays intact
+  however the live state changes later. The leaves (uid strings, path
+  tuples, record-value dicts) are shared as well, so **a record value held
+  in state is never mutated** by any operator.
 """
 from __future__ import annotations
 
@@ -32,10 +38,18 @@ from typing import Any, Dict, List, Tuple
 from .messages import Record
 
 
-def _copy_slots(state: Dict[Any, Any]) -> Dict[Any, Any]:
-    """Copy a ``key -> dict|set`` mapping two levels deep, sharing the
-    leaves; insertion order is preserved at both levels."""
-    return {k: slot.copy() for k, slot in state.items()}
+def _own(table: Dict[Any, Any], base: Dict[Any, Any], key: Any) -> Any:
+    """The slot ``table[key]``, safe to write: a slot that ``base`` (the
+    table of the last snapshot or restore) still shares is first replaced
+    by a private copy under the same key."""
+    slot = table[key]
+    if base.get(key) is slot:
+        table[key] = slot = slot.copy()
+    return slot
+
+
+#: the base of a window created after the last snapshot: no slot is shared
+_NO_BASE: Tuple[Dict, Dict] = ({}, {})
 
 
 class Operator:
@@ -129,15 +143,15 @@ class IncrementalJoinOp(Operator):
         # key -> {uid: value}; keyed inserts are idempotent.
         self.left: Dict[Any, Dict[str, Any]] = {}
         self.right: Dict[Any, Dict[str, Any]] = {}
+        self._base: Tuple[Dict, Dict] = _NO_BASE  #: (left, right) last shared
 
     def process(self, record: Record, from_op: str) -> List[Record]:
-        mine, other = (
-            (self.left, self.right) if from_op == self.left_op else (self.right, self.left)
-        )
-        slot = mine.setdefault(record.key, {})
-        if record.uid in slot:  # idempotent re-insert (replayed duplicate)
+        tables = (self.left, self.right)
+        side = int(from_op != self.left_op)  # 0: left, 1: right
+        mine, other = tables[side], tables[1 - side]
+        if record.uid in mine.setdefault(record.key, {}):  # replayed duplicate
             return []
-        slot[record.uid] = record.value
+        _own(mine, self._base[side], record.key)[record.uid] = record.value
         out: List[Record] = []
         for ov in other.get(record.key, {}).values():
             lv, rv = (record.value, ov) if from_op == self.left_op else (ov, record.value)
@@ -148,10 +162,12 @@ class IncrementalJoinOp(Operator):
         return out
 
     def snapshot(self) -> Any:
-        return (_copy_slots(self.left), _copy_slots(self.right))
+        self._base = (dict(self.left), dict(self.right))
+        return self._base
 
     def restore(self, snap: Any) -> None:
-        self.left, self.right = _copy_slots(snap[0]), _copy_slots(snap[1])
+        self.left, self.right = dict(snap[0]), dict(snap[1])
+        self._base = snap
 
     def state_bytes(self) -> int:
         n = sum(len(v) for v in self.left.values()) + sum(len(v) for v in self.right.values())
@@ -195,6 +211,7 @@ class WindowJoinOp(Operator):
         # window_id -> side -> key -> {uid: value}
         self.windows: Dict[int, Tuple[Dict, Dict]] = {}
         self.max_window = -1
+        self._base: Dict[int, Tuple[Dict, Dict]] = {}  #: windows last shared
 
     def _win(self, ts: float) -> int:
         return int(ts // self.window)
@@ -207,12 +224,12 @@ class WindowJoinOp(Operator):
             self.max_window = w
             for old in [k for k in self.windows if k <= w - self.EVICT_HORIZON]:
                 del self.windows[old]
-        left, right = self.windows.setdefault(w, ({}, {}))
-        mine, other = (left, right) if from_op == self.left_op else (right, left)
-        slot = mine.setdefault(record.key, {})
-        if record.uid in slot:
+        tables = self.windows.setdefault(w, ({}, {}))
+        side = int(from_op != self.left_op)  # 0: left, 1: right
+        mine, other = tables[side], tables[1 - side]
+        if record.uid in mine.setdefault(record.key, {}):
             return []
-        slot[record.uid] = record.value
+        _own(mine, self._base.get(w, _NO_BASE)[side], record.key)[record.uid] = record.value
         out: List[Record] = []
         for ov in other.get(record.key, {}).values():
             lv, rv = (record.value, ov) if from_op == self.left_op else (ov, record.value)
@@ -223,15 +240,17 @@ class WindowJoinOp(Operator):
         return out
 
     @staticmethod
-    def _copy(windows: Dict[int, Tuple[Dict, Dict]]) -> Dict[int, Tuple[Dict, Dict]]:
-        return {w: (_copy_slots(l), _copy_slots(r)) for w, (l, r) in windows.items()}
+    def _share(windows: Dict[int, Tuple[Dict, Dict]]) -> Dict[int, Tuple[Dict, Dict]]:
+        return {w: (dict(l), dict(r)) for w, (l, r) in windows.items()}
 
     def snapshot(self) -> Any:
-        return (self._copy(self.windows), self.max_window)
+        self._base = self._share(self.windows)
+        return (self._base, self.max_window)
 
     def restore(self, snap: Any) -> None:
-        self.windows = self._copy(snap[0])
+        self.windows = self._share(snap[0])
         self.max_window = snap[1]
+        self._base = snap[0]
 
     def state_bytes(self) -> int:
         n = 0
@@ -267,6 +286,7 @@ class WindowCountOp(Operator):
         self.out_kind = out_kind
         self.counts: Dict[int, Dict[Any, set]] = {}  # window -> key -> {uids}
         self.max_window = -1
+        self._base: Dict[int, Dict[Any, set]] = {}  #: counts last shared
 
     def process(self, record: Record, from_op: str) -> List[Record]:
         w = int(record.ingest_ts // self.window)
@@ -276,9 +296,10 @@ class WindowCountOp(Operator):
             self.max_window = w
             for old in [k for k in self.counts if k <= w - self.EVICT_HORIZON]:
                 del self.counts[old]
-        slot = self.counts.setdefault(w, {}).setdefault(record.key, set())
-        if record.uid in slot:
+        table = self.counts.setdefault(w, {})
+        if record.uid in table.setdefault(record.key, set()):
             return []
+        slot = _own(table, self._base.get(w, _NO_BASE[0]), record.key)
         slot.add(record.uid)
         count = len(slot)
         return [
@@ -292,11 +313,13 @@ class WindowCountOp(Operator):
         ]
 
     def snapshot(self) -> Any:
-        return ({w: _copy_slots(km) for w, km in self.counts.items()}, self.max_window)
+        self._base = {w: dict(km) for w, km in self.counts.items()}
+        return (self._base, self.max_window)
 
     def restore(self, snap: Any) -> None:
-        self.counts = {w: _copy_slots(km) for w, km in snap[0].items()}
+        self.counts = {w: dict(km) for w, km in snap[0].items()}
         self.max_window = snap[1]
+        self._base = snap[0]
 
     def state_bytes(self) -> int:
         return 40 * sum(len(s) for km in self.counts.values() for s in km.values())
@@ -325,7 +348,8 @@ class CyclicJoinOp(Operator):
     starting at their reachable node. Delete events remove state (paper:
     "it will remove every link or source affected from its state"); an
     index from source id to its entries, rebuilt on restore and never
-    snapshotted, makes a source delete cost its own entries only.
+    snapshotted, makes a source delete cost its own entries only. Slots a
+    delete empties stay in place.
     """
 
     def __init__(self, idx: int, n_workers: int, link_op: str, source_op: str, loop_op: str):
@@ -336,6 +360,7 @@ class CyclicJoinOp(Operator):
         self.links: Dict[Any, Dict[Tuple, None]] = {}  # start -> {(u, v): None}
         self.sources: Dict[Any, Dict[Tuple, None]] = {}  # end-node -> {(src, path): None}
         self._by_src: Dict[Any, Dict[Tuple, None]] = {}  # src -> {(src, path): None}
+        self._base: Tuple[Dict, Dict] = _NO_BASE  #: (links, sources) last shared
 
     @staticmethod
     def _pair_record(src_tuple: Tuple, link: Tuple, ingest_ts: float) -> Record:
@@ -354,38 +379,38 @@ class CyclicJoinOp(Operator):
         v = record.value
         out: List[Record] = []
         if from_op == self.link_op:
-            if v["op"] == "del_link":
-                self.links.get(v["u"], {}).pop((v["u"], v["v"]), None)
-                return []
             link = (v["u"], v["v"])
-            slot = self.links.setdefault(v["u"], {})
-            if link in slot:
+            if v["op"] == "del_link":
+                if link in self.links.get(v["u"], ()):
+                    del _own(self.links, self._base[0], v["u"])[link]
                 return []
-            slot[link] = None
+            if link in self.links.setdefault(v["u"], {}):
+                return []
+            _own(self.links, self._base[0], v["u"])[link] = None
             for st in self.sources.get(v["u"], {}):
                 out.append(self._pair_record(st, link, record.ingest_ts))
         else:  # source events: fresh sources, recursive sources, or deletes
             if v["op"] == "del_source":
-                # end-node slots emptied here stay in place
                 for st in self._by_src.pop(v["s"], ()):
-                    del self.sources[st[1][-1]][st]
+                    del _own(self.sources, self._base[1], st[1][-1])[st]
                 return []
             st = (v["s"], tuple(v["path"]))
             end = st[1][-1]
-            slot = self.sources.setdefault(end, {})
-            if st in slot:
+            if st in self.sources.setdefault(end, {}):
                 return []
-            slot[st] = None
+            _own(self.sources, self._base[1], end)[st] = None
             self._by_src.setdefault(st[0], {})[st] = None
             for link in self.links.get(end, {}):
                 out.append(self._pair_record(st, link, record.ingest_ts))
         return out
 
     def snapshot(self) -> Any:
-        return (_copy_slots(self.links), _copy_slots(self.sources))
+        self._base = (dict(self.links), dict(self.sources))
+        return self._base
 
     def restore(self, snap: Any) -> None:
-        self.links, self.sources = _copy_slots(snap[0]), _copy_slots(snap[1])
+        self.links, self.sources = dict(snap[0]), dict(snap[1])
+        self._base = snap
         self._by_src = {}
         for slot in self.sources.values():
             for st in slot:

@@ -43,7 +43,7 @@ class CheckpointMeta:
 @dataclass
 class StoredCheckpoint:
     meta: CheckpointMeta
-    state: Any  #: structural copy of operator state (or source offset)
+    state: Any  #: copy-on-write snapshot of operator state (or source offset)
 
 
 class CheckpointStore:

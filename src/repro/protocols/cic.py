@@ -125,7 +125,7 @@ class CICProtocol(UncoordinatedProtocol):
         if st._merged.get(s) is not ck:
             st._merged[s] = ck
             if ck != st.ckpt:
-                st.ckpt = tuple(max(a, b) for a, b in zip(st.ckpt, ck))
+                st.ckpt = tuple(map(max, st.ckpt, ck))
         st.taken |= taken | (1 << s)
         if st.clock > clock:
             st.greater |= 1 << s

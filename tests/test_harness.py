@@ -19,6 +19,7 @@ from repro.core.config import ExperimentConfig, UNC_INTERVALS, build, make_proto
 from repro.core.harness import (
     METRIC_COLUMNS,
     MetricsRow,
+    longest_first,
     metrics_row,
     run_config,
     sweep,
@@ -212,3 +213,35 @@ class TestSweep:
     def test_empty_sweep_spark_matches_local(self, spark):
         # parallelize() needs at least one slice even for no configs
         pd.testing.assert_frame_equal(sweep([], spark), sweep([]), check_exact=True)
+
+
+class TestSweepOrder:
+    """Cells are handed out longest first (workers x |rate|) and their rows
+    come back in submission order."""
+
+    # submitted shortest first: products 50, 100, 100, 300
+    CFGS = [
+        ExperimentConfig(query="q1", protocol="none", workers=w, rate=r, duration=2.0,
+                         fail_at=None)
+        for w, r in [(1, 50.0), (1, 100.0), (2, 50.0), (3, 100.0)]
+    ]
+
+    def test_longest_first_is_a_stable_descending_sort(self):
+        assert longest_first(self.CFGS) == [3, 1, 2, 0]
+        assert longest_first([]) == []
+
+    def test_fractional_rates_sort_by_magnitude(self):
+        cfgs = [ExperimentConfig(query="q3", protocol="UNC", workers=w, rate=-0.8)
+                for w in (10, 50, 10, 50)]
+        assert longest_first(cfgs) == [1, 3, 0, 2]
+
+    def _assert_submission_order(self, pdf):
+        assert list(zip(pdf.workers, pdf.rate)) == [(c.workers, c.rate) for c in self.CFGS]
+
+    def test_rows_in_submission_order_local(self):
+        self._assert_submission_order(sweep(self.CFGS))
+
+    def test_rows_in_submission_order_spark(self, spark):
+        pdf = sweep(self.CFGS, spark)
+        self._assert_submission_order(pdf)
+        pd.testing.assert_frame_equal(pdf, sweep(self.CFGS), check_exact=True)

@@ -288,9 +288,9 @@ class TestCyclicSelectProject:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot isolation. Snapshots copy only the container levels and share the
-# leaves, so neither later processing nor a restore may reach a stored
-# snapshot through a shared slot.
+# Snapshot isolation. Snapshots copy only the outer tables and share every
+# slot with live state until it is written, so neither later processing nor
+# a restore may reach a stored snapshot through a shared slot.
 # ---------------------------------------------------------------------------
 
 #: per stateful operator: a factory, records that build state, and records
@@ -359,8 +359,14 @@ class TestSnapshotIsolation:
 # ---------------------------------------------------------------------------
 
 
+def _full_copy(table):
+    return {k: slot.copy() for k, slot in table.items()}
+
+
 class ScanCyclicJoinOp(CyclicJoinOp):
-    """Oracle only: deletes a source by scanning every end-node slot."""
+    """Oracle only: deletes a source by scanning every end-node slot, and
+    snapshots and restores by copying every slot, so it shares no slot with
+    a stored snapshot (the semantics copy-on-write must reproduce)."""
 
     def process(self, record, from_op):
         v = record.value
@@ -371,13 +377,22 @@ class ScanCyclicJoinOp(CyclicJoinOp):
             return []
         return super().process(record, from_op)
 
+    def snapshot(self):
+        return (_full_copy(self.links), _full_copy(self.sources))
+
+    def restore(self, snap):
+        super().restore((_full_copy(snap[0]), _full_copy(snap[1])))
+
 
 _node = st.integers(0, 4)
-_step = st.one_of(
+_events = (
     st.tuples(st.just("add_link"), _node, _node),
     st.tuples(st.just("del_link"), _node, _node),
     st.tuples(st.just("add_source"), _node, st.lists(_node, max_size=3)),
     st.tuples(st.just("del_source"), _node),
+)
+_step = st.one_of(
+    *_events,
     st.tuples(st.just("snapshot")),
     st.tuples(st.just("restore"), st.integers(0, 7)),
 )
@@ -414,3 +429,124 @@ def test_indexed_source_delete_matches_full_scan(steps):
         assert ops[0].state_fingerprint() == ops[1].state_fingerprint()
         # same slots in the same order, emptied end-node slots included
         assert list(ops[0].sources.items()) == list(ops[1].sources.items())
+
+
+# ---------------------------------------------------------------------------
+# Copy-on-write snapshots against full copies. The reference operator never
+# snapshots: its "snapshot" is a deep copy of the whole operator, so it
+# shares nothing with what it keeps.
+# ---------------------------------------------------------------------------
+
+
+def _layout(x):
+    """Nested dicts as lists of items, so that equality also checks the
+    insertion order at every level."""
+    if isinstance(x, dict):
+        return [(k, _layout(v)) for k, v in x.items()]
+    if isinstance(x, tuple):
+        return tuple(map(_layout, x))
+    return x
+
+
+_side = st.sampled_from("LR")
+_idx = st.integers(0, 9)
+#: a record's key and timestamp are functions of its uid, as in the real
+#: streams; small pools make duplicates, and ts = 7i mod 30 spans three
+#: 10 s windows, so arrivals evict windows
+DIFF_CASES = {
+    "incremental_join": (
+        make_join, ("left", "right"),
+        st.builds(lambda s, i: (rec(f"{s}{i}", i % 2, {"id": i}), s), _side, _idx),
+    ),
+    "window_join": (
+        make_wjoin, ("windows", "max_window"),
+        st.builds(lambda s, i: (rec(f"{s}{i}", i % 2, {"id": i}, ts=float(7 * i % 30)), s),
+                  _side, _idx),
+    ),
+    "window_count": (
+        lambda: WindowCountOp(0, 1, window=10.0, out_kind="o"), ("counts", "max_window"),
+        st.builds(lambda i: (rec(f"b{i}", i % 2, {}, ts=float(7 * i % 30)), "s"), _idx),
+    ),
+    "cyclic_join": (
+        # the join keys its state on content, so every event may share a uid
+        make_cjoin, ("links", "sources"),
+        st.one_of(*_events).map(lambda s: _cyclic_record(0, s)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIFF_CASES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_copy_on_write_matches_full_copy(case, data):
+    factory, attrs, records = DIFF_CASES[case]
+    steps = data.draw(st.lists(st.one_of(
+        records.map(lambda r: ("process", r)),
+        st.just(("snapshot",)),
+        st.integers(0, 3).map(lambda k: ("restore", k)),
+    ), min_size=10, max_size=40))
+    state = lambda op: tuple(getattr(op, a) for a in attrs)
+    op, ref = factory(), factory()
+    kept = []  # (snapshot, its deep copy when taken, the reference then)
+    for step in steps:
+        if step[0] == "process":
+            r, frm = step[1]
+            outs = [[(o.uid, o.key, o.value) for o in x.process(r, frm)] for x in (op, ref)]
+            assert outs[0] == outs[1]
+        elif step[0] == "snapshot":
+            snap = op.snapshot()
+            assert _layout(snap) == _layout(state(ref))
+            kept.append((snap, copy.deepcopy(snap), copy.deepcopy(ref)))
+        elif kept:
+            snap, _, then = kept[step[1] % len(kept)]
+            op.restore(snap)
+            ref = copy.deepcopy(then)
+        assert op.state_fingerprint() == ref.state_fingerprint()
+        assert op.state_bytes() == ref.state_bytes()
+        assert _layout(state(op)) == _layout(state(ref))
+        for snap, frozen, _ in kept:
+            assert snap == frozen
+
+
+def _two_table_slots(snap):
+    return {(side, k): slot for side, table in enumerate(snap) for k, slot in table.items()}
+
+
+#: per ISOLATION_CASES entry: every slot of a snapshot by its path, and the
+#: path of the one slot the case's first change record writes
+DELTA_CASES = {
+    "incremental_join": (_two_table_slots, (0, 1)),
+    "window_join": (
+        lambda snap: {(w, side, k): slot for w, tables in snap[0].items()
+                      for side, table in enumerate(tables) for k, slot in table.items()},
+        (0, 0, 1),
+    ),
+    "window_count": (
+        lambda snap: {(w, k): slot for w, table in snap[0].items() for k, slot in table.items()},
+        (0, 5),
+    ),
+    "cyclic_join": (_two_table_slots, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ISOLATION_CASES))
+def test_copy_cost_follows_the_delta(case):
+    factory, build, change = ISOLATION_CASES[case]
+    slots, written = DELTA_CASES[case]
+    op = factory()
+    for r, frm in build:
+        op.process(r, frm)
+    first_snap = op.snapshot()
+    frozen = copy.deepcopy(first_snap)
+    first = slots(first_snap)
+    op.process(*change[0])
+    second = slots(op.snapshot())
+    # consecutive snapshots share every slot but the written one
+    assert second.keys() == first.keys() and len(first) > 1
+    assert [p for p in first if second[p] is not first[p]] == [written]
+    # a restore shares too: the first write after it copies that slot only
+    op.restore(first_snap)
+    op.process(*change[0])
+    third = slots(op.snapshot())
+    assert [p for p in first if third[p] is not first[p]] == [written]
+    assert first_snap == frozen
