@@ -5,12 +5,8 @@ from repro.core.tables import table23_configs
 
 
 def run_grid():
-    cfgs = [
-        c
-        for c in table23_configs(workers=(6,), queries=("q3", "q12"), duration=20.0,
-                                 fail_at=8.0)
-        if c.protocol != "none"
-    ]
+    cfgs = table23_configs(workers=(6,), queries=("q3", "q12"), duration=20.0,
+                           fail_at=8.0)
     return sweep(cfgs)
 
 

@@ -27,7 +27,7 @@ def main() -> None:
             dict(query=q, workers=w, protocol=p, mst=measure_mst(q, p, w))
             for w in workers
             for q in queries
-            for p in ["none"] + PROTOCOLS
+            for p in PROTOCOLS
         ]
     )
     out = fig7_frame(msts)

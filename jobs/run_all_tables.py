@@ -48,8 +48,8 @@ def main() -> None:
     print(render(table4_frame(m4), "Table IV — cyclic query (CT/RT/IC)"))
     print(f"[t4 done at {time.time()-t0:.0f}s]")
 
-    # every sweep row carries its cell's MST; the "none" rows hold the
-    # checkpoint-free MST that normalises the protocols' MSTs
+    # every sweep row carries its cell's MST; fig7_frame normalises it by
+    # the checkpoint-free MST probe of the same (query, workers)
     print(render(fig7_frame(m23).drop(columns="mst"), "Fig. 7 shape — normalized MST"))
     print(f"[mst done at {time.time()-t0:.0f}s]")
 
@@ -64,7 +64,7 @@ def main() -> None:
     cols = ["query", "workers", "protocol", "restart_time", "recovery_time",
             "n_replay", "avg_ckpt_time", "mst", "rate"]
     print(render(
-        m23[m23.protocol != "none"][cols].round(4)
+        m23[cols].round(4)
         .sort_values(["workers", "query", "protocol"]),
         "Fig. 8/11 shape — checkpoint/restart/recovery times (uniform runs)",
     ))

@@ -14,13 +14,12 @@ INVALID_SQL = """
 SELECT query, workers, protocol, ckpt_total,
        round(100.0 * invalid / NULLIF(ckpt_total, 0), 2) AS invalid_pct
 FROM metrics
-WHERE protocol <> 'none'
 """
 
 
 def invalid_summary(spark: SparkSession, metrics: pd.DataFrame) -> DataFrame:
     """Total checkpoints and invalid percentage per table cell."""
-    return spark.createDataFrame(metrics).where(F.col("protocol") != "none").select(
+    return spark.createDataFrame(metrics).select(
         "query",
         "workers",
         "protocol",

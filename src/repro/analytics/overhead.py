@@ -23,7 +23,6 @@ OVERHEAD_SQL = """
 SELECT query, workers, protocol,
        round(CAST(total_bytes AS DOUBLE) / data_bytes, 4) AS ratio
 FROM metrics
-WHERE protocol <> 'none'
 """
 
 
@@ -31,7 +30,6 @@ def overhead_ratios(spark: SparkSession, metrics: pd.DataFrame) -> DataFrame:
     """Per (query, workers, protocol) traffic ratio vs protocol-free bytes."""
     return (
         spark.createDataFrame(metrics)
-        .where(F.col("protocol") != "none")
         .select(
             "query",
             "workers",

@@ -171,8 +171,8 @@ def metrics_row(cfg: ExperimentConfig, res: SimResult, mst: float) -> Dict:
     return vars(row)
 
 
-def run_config(cfg: ExperimentConfig, keep_result: bool = False):
-    """Run one config; returns (metrics_row, SimResult|None). A fractional
+def run_config(cfg: ExperimentConfig):
+    """Run one config; returns (metrics_row, SimResult). A fractional
     (negative) rate is resolved against the measured MST first, and the
     row records that MST (NaN for an absolute rate)."""
     mst = float("nan")
@@ -181,7 +181,7 @@ def run_config(cfg: ExperimentConfig, keep_result: bool = False):
         cfg = replace(cfg, rate=-cfg.rate * mst)
     sim = build(cfg)
     res = sim.run(cfg.duration, fail_at=cfg.fail_at)
-    return metrics_row(cfg, res, mst), (res if keep_result else None)
+    return metrics_row(cfg, res, mst), res
 
 
 # ---------------------------------------------------------------------------

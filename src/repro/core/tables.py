@@ -17,6 +17,7 @@ from repro.analytics.checkpoints import invalid_summary
 from repro.analytics.overhead import overhead_ratios
 
 from .config import CYCLIC_FAIL_AT, FAIL_AT, RUN_DURATION, ExperimentConfig
+from .mst import measure_mst
 
 QUERIES_T23 = ["q1", "q3", "q8", "q12"]
 PROTOCOLS = ["COOR", "UNC", "CIC"]
@@ -68,23 +69,22 @@ def table23_configs(
     mst_fraction: float = 0.8,
 ) -> List[ExperimentConfig]:
     """One shared grid feeds both Table II and Table III (the paper's runs
-    do too): each protocol plus the checkpoint-free baseline, at 80 % MST,
-    with the failure at t=18 s."""
-    cfgs = []
-    for w in workers:
-        for q in queries:
-            for p in ["none"] + PROTOCOLS:
-                cfgs.append(
-                    ExperimentConfig(
-                        query=q,
-                        protocol=p,
-                        workers=w,
-                        rate=-mst_fraction,
-                        duration=duration,
-                        fail_at=None if p == "none" else fail_at,
-                    )
-                )
-    return cfgs
+    do too): each protocol at 80 % MST, with the failure at t=18 s. Both
+    tables normalise each run by itself, so no checkpoint-free run is
+    needed."""
+    return [
+        ExperimentConfig(
+            query=q,
+            protocol=p,
+            workers=w,
+            rate=-mst_fraction,
+            duration=duration,
+            fail_at=fail_at,
+        )
+        for w in workers
+        for q in queries
+        for p in PROTOCOLS
+    ]
 
 
 def table4_configs(
@@ -187,14 +187,13 @@ def table4_frame(metrics: pd.DataFrame) -> pd.DataFrame:
 
 def fig7_frame(metrics: pd.DataFrame) -> pd.DataFrame:
     """Fig. 7 shape: each protocol's MST normalised by the checkpoint-free
-    MST of the same (query, workers). ``metrics`` holds an ``mst`` per
-    (query, workers, protocol), the "none" protocol included; the protocol
-    rows keep their order."""
-    rows = metrics[["query", "workers", "protocol", "mst"]]
-    base = rows[rows.protocol == "none"].set_index(["query", "workers"]).mst.to_dict()
-    out = rows[rows.protocol != "none"].reset_index(drop=True)
+    MST of the same (query, workers), ``measure_mst(query, "none",
+    workers)``. ``metrics`` holds an ``mst`` per (query, workers,
+    protocol); the rows keep their order."""
+    out = metrics[["query", "workers", "protocol", "mst"]].reset_index(drop=True)
     out["normalized"] = [
-        round(m / base[q, w], 3) for q, w, m in zip(out["query"], out.workers, out.mst)
+        round(m / measure_mst(q, "none", int(w)), 3)
+        for q, w, m in zip(out["query"], out.workers, out.mst)
     ]
     return out
 

@@ -55,14 +55,14 @@ class OperatorSpec:
     ``stateful`` drives which operators take checkpoints under UNC/CIC
     (paper §III-B: stateless non-source operators need not participate);
     under COOR every operator participates in marker alignment.
-    ``factory(idx, n_workers)`` builds the per-instance behaviour object
-    (see :mod:`repro.dataflow.operators`).
+    ``factory()`` builds the behaviour object of one instance (see
+    :mod:`repro.dataflow.operators`); sources get a bare ``Operator``.
     """
 
     name: str
     kind: str  #: "source" | "sink" | operator type tag
     stateful: bool
-    factory: Callable[[int, int], Any] = None
+    factory: Callable[[], Any] = None
     source_topic: Optional[str] = None  #: kafka_sim topic for sources
 
     @property

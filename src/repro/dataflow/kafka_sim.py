@@ -5,7 +5,8 @@ The checkpointing protocols only rely on two Kafka properties (paper §IV:
 order and offset-based replay. ``ReplayableLog`` provides exactly that:
 events are appended per partition ahead of the run; each source instance
 consumes its own partition and checkpoints its offset; recovery rewinds
-the offset and the exact same suffix is re-served.
+the offset and the exact same suffix is re-served. The offset itself is
+the ``recv`` counter of the source's lane in the simulator.
 """
 from __future__ import annotations
 
@@ -38,25 +39,3 @@ class ReplayableLog:
 
     def total_events(self) -> int:
         return sum(len(p) for p in self.partitions)
-
-
-class SourceCursor:
-    """A source instance's consumer position on one partition.
-
-    ``offset`` is the next record index to serve. Checkpointing a source
-    under any protocol snapshots this integer; recovery assigns it back.
-    """
-
-    def __init__(self, log: ReplayableLog, partition: int):
-        self.log = log
-        self.partition = partition
-        self.offset = 0
-
-    def advance(self) -> None:
-        self.offset += 1
-
-    def snapshot(self) -> int:
-        return self.offset
-
-    def restore(self, offset: int) -> None:
-        self.offset = offset

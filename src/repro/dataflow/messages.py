@@ -61,15 +61,14 @@ class Message:
 
     ``seq`` is the per-channel FIFO sequence number assigned at send time;
     UNC/CIC use it for message logging, dedup and orphan detection. On a
-    source channel it is the record's partition offset.
+    source channel it is the record's partition offset, and on a COOR
+    marker or coordinator trigger it is the round id.
     ``lane`` is the simulator's record of the channel the message travels
     on; ``lane.ch`` is the channel tuple. ``proto_bytes`` is protocol
     overhead riding on this message (marker size, CIC piggyback).
     ``piggyback`` carries CIC's ``(clock, ckpt, taken, greater, sender
-    index)`` tuple when present.
-    ``meta`` is set only on COOR markers and coordinator triggers (round
-    id, trigger flag). ``arr`` is the virtual time the message entered its
-    destination channel queue.
+    index)`` tuple when present. ``arr`` is the virtual time the message
+    entered its destination channel queue.
     """
 
     kind: Kind
@@ -78,7 +77,6 @@ class Message:
     lane: Any
     proto_bytes: int = 0
     piggyback: Optional[tuple] = None
-    meta: Optional[dict] = None
     arr: float = 0.0
 
 

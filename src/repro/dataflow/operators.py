@@ -53,11 +53,9 @@ _NO_BASE: Tuple[Dict, Dict] = ({}, {})
 
 
 class Operator:
-    """Base per-instance operator behaviour."""
-
-    def __init__(self, idx: int, n_workers: int):
-        self.idx = idx
-        self.n_workers = n_workers
+    """Base per-instance operator behaviour, and the whole behaviour of a
+    source instance: the simulator serves a source's records from its
+    partition and never calls ``process`` on it."""
 
     # -- data path ---------------------------------------------------------
     def process(self, record: Record, from_op: str) -> List[Record]:
@@ -78,19 +76,10 @@ class Operator:
         return None
 
 
-class PassThrough(Operator):
-    """Source-side behaviour: forwards records unchanged (offset tracking
-    lives in the simulator's source bookkeeping, not here)."""
-
-    def process(self, record: Record, from_op: str) -> List[Record]:
-        return [record]
-
-
 class MapOp(Operator):
     """Stateless 1->1 transformation (NexMark Q1 currency conversion)."""
 
-    def __init__(self, idx: int, n_workers: int, fn, out_kind: str):
-        super().__init__(idx, n_workers)
+    def __init__(self, fn, out_kind: str):
         self.fn = fn
         self.out_kind = out_kind
 
@@ -110,8 +99,7 @@ class MapOp(Operator):
 class FilterOp(Operator):
     """Stateless predicate filter."""
 
-    def __init__(self, idx: int, n_workers: int, pred):
-        super().__init__(idx, n_workers)
+    def __init__(self, pred):
         self.pred = pred
 
     def process(self, record: Record, from_op: str) -> List[Record]:
@@ -128,14 +116,11 @@ class IncrementalJoinOp(Operator):
 
     def __init__(
         self,
-        idx: int,
-        n_workers: int,
         left_op: str,
         right_op: str,
         emit,  #: (left_value, right_value) -> (uid, key, value) of the pair
         out_kind: str,
     ):
-        super().__init__(idx, n_workers)
         self.left_op = left_op
         self.right_op = right_op
         self.emit = emit
@@ -194,15 +179,12 @@ class WindowJoinOp(Operator):
 
     def __init__(
         self,
-        idx: int,
-        n_workers: int,
         left_op: str,
         right_op: str,
         window: float,
         emit,
         out_kind: str,
     ):
-        super().__init__(idx, n_workers)
         self.left_op = left_op
         self.right_op = right_op
         self.window = window
@@ -280,8 +262,7 @@ class WindowCountOp(Operator):
 
     EVICT_HORIZON = 2
 
-    def __init__(self, idx: int, n_workers: int, window: float, out_kind: str):
-        super().__init__(idx, n_workers)
+    def __init__(self, window: float, out_kind: str):
         self.window = window
         self.out_kind = out_kind
         self.counts: Dict[int, Dict[Any, set]] = {}  # window -> key -> {uids}
@@ -352,8 +333,7 @@ class CyclicJoinOp(Operator):
     delete empties stay in place.
     """
 
-    def __init__(self, idx: int, n_workers: int, link_op: str, source_op: str, loop_op: str):
-        super().__init__(idx, n_workers)
+    def __init__(self, link_op: str, source_op: str, loop_op: str):
         self.link_op = link_op
         self.source_op = source_op
         self.loop_op = loop_op

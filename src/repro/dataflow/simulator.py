@@ -27,14 +27,23 @@ fixed by the rules above):
 
 - Heap events are keyed ``(virtual time, counter)``; the counter is one
   global sequence, so events at equal virtual time pop in scheduling
-  order.
-- Sources are scheduled lazily. Each source cursor has at most one
-  pending heap event, for its next record; when it pops, the cursor's
-  following offset is pushed and the record is enqueued. Scheduling a
-  cursor (at start and again at resume) *reserves* one counter value per
-  remaining record, so offset ``o`` of a cursor scheduled with floor ``f``
-  always has the key ``(max(ingest_ts, f), base + o)`` it would have had
-  if the whole suffix were pushed at once. Because each partition is in
+  order. There are five kinds: ``src`` (a source record is served),
+  ``arrive`` (a message reaches its lane), ``proc`` (a worker finishes a
+  dispatch), ``sink`` (a message reaches the external sink) and ``call``
+  (a callback from :meth:`Simulation.call_at`: protocol timers, the
+  re-dispatch of a worker after a snapshot charge, and the failure, its
+  detection and the resume). Every event but ``sink`` carries the epoch
+  it was scheduled in, and only the failure bumps the epoch, so the
+  failure drops everything scheduled before it.
+- A source's Kafka offset is its source lane's ``recv`` (the next record
+  to serve) and the lane holds the partition. Sources are scheduled
+  lazily. Each source lane has at most one pending heap event, for its
+  next record; when it pops, the following offset is pushed and the
+  record is enqueued. Scheduling a source (at start and again at resume)
+  *reserves* one counter value per remaining record, so offset ``o`` of a
+  source scheduled with floor ``f`` always has the key
+  ``(max(ingest_ts, f), base + o)`` it would have had if the whole suffix
+  were pushed at once. Because each partition is in
   ingest-time order these keys increase with ``o``, so the pop order,
   every counter value and every result are those of eager scheduling,
   while the heap holds O(sources + in-flight) events and resume costs
@@ -43,7 +52,7 @@ fixed by the rules above):
   the lane is the channel's only in-memory record: its sent and processed
   seqs, arrival queue, ready flag and COOR ``blocked`` flag, and its
   receiver (instance id, operator object, service time, routing table,
-  source cursor, to-sink flag). Channel tuples (``lane.ch``) remain only
+  source partition, to-sink flag). Channel tuples (``lane.ch``) remain only
   as the keys of checkpoint counters and the message log. A routing table
   gives, per outgoing edge, the fixed target lane (sink and forward edges)
   or the lane per target index. Messages carry their lane and the
@@ -74,13 +83,14 @@ import heapq
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from .costs import SimCost
 from .graph import LogicalGraph
-from .kafka_sim import ReplayableLog, SourceCursor
+from .kafka_sim import ReplayableLog
 from .messages import (
     MARKER_BYTES,
     Channel,
@@ -116,15 +126,16 @@ class _Lane:
     processed seqs, ``q`` the arrival queue, ``ready`` is True while the
     lane has an entry in its worker's head heap, and ``blocked`` is True
     while COOR holds the lane for alignment (it is not dispatched).
-    ``cursor`` is set on source lanes only; ``routes`` is the receiver's
-    routing table."""
+    ``part`` is set on source lanes only: the Kafka partition the source
+    serves, and ``recv`` is then its offset, the next record to serve.
+    ``routes`` is the receiver's routing table."""
 
     __slots__ = ("ch", "w", "sent", "recv", "q", "ready", "blocked", "inst", "op",
-                 "service", "routes", "cursor", "to_sink")
+                 "service", "routes", "part", "to_sink")
 
-    def __init__(self, ch: Channel, op: Any, service: float, cursor, to_sink: bool):
+    def __init__(self, ch: Channel, op: Any, service: float, part, to_sink: bool):
         self.ch, self.w, self.inst, self.op = ch, ch[3], (ch[2], ch[3]), op
-        self.service, self.cursor, self.to_sink = service, cursor, to_sink
+        self.service, self.part, self.to_sink = service, part, to_sink
         self.sent = self.recv = 0
         self.q: deque = deque()
         self.ready = self.blocked = False
@@ -175,12 +186,12 @@ class Simulation:
         self.instances: Dict[InstanceId, Any] = {}
         #: sink op -> uid -> value, the deduplicated external output
         self.sinks: Dict[str, Dict[str, Any]] = {name: {} for name in graph.sinks()}
-        self.cursors: Dict[InstanceId, SourceCursor] = {}
+        parts: Dict[InstanceId, list] = {}
         for name, spec in graph.ops.items():
             if spec.is_sink:
                 continue
             for w in range(n_workers):
-                self.instances[(name, w)] = spec.factory(w, n_workers)
+                self.instances[(name, w)] = spec.factory()
                 if spec.is_source:
                     log = topics[spec.source_topic]
                     if log.n_partitions != n_workers:
@@ -188,17 +199,17 @@ class Simulation:
                             f"topic {spec.source_topic!r} has {log.n_partitions} "
                             f"partitions, need {n_workers}"
                         )
-                    self.cursors[(name, w)] = SourceCursor(log, w)
+                    parts[(name, w)] = log.partitions[w]
 
         # --- lanes: one per channel, with its receiver -----------------------
         service = {name: self.cost.op_service(spec.kind) for name, spec in graph.ops.items()}
         self.lanes: Dict[Channel, _Lane] = {}
 
-        def lane(ch: Channel, cursor=None) -> _Lane:
+        def lane(ch: Channel, part=None) -> _Lane:
             ln = self.lanes.get(ch)
             if ln is None:
                 ln = self.lanes[ch] = _Lane(ch, self.instances.get((ch[2], ch[3])),
-                                            service[ch[2]], cursor, ch[2] in self.sinks)
+                                            service[ch[2]], part, ch[2] in self.sinks)
             return ln
 
         #: every lane each instance sends / receives on, in edge order
@@ -223,8 +234,10 @@ class Simulation:
                         self.in_lanes[ln.inst].append(ln)
                 self.out_lanes[(e.src, i)].extend(fixed or targets)
                 routes[(e.src, i)].append((e, fixed, targets))
-        for inst, cur in self.cursors.items():
-            lane((_SRC, 0) + inst, cur)
+        #: source instance -> its source lane, whose ``recv`` is the offset
+        self.source_lanes: Dict[InstanceId, _Lane] = {}
+        for inst, part in parts.items():
+            self.source_lanes[inst] = lane((_SRC, 0) + inst, part)
             lane((_COORD, 0) + inst)  # coordinator triggers (COOR)
         tables = {inst: tuple(table) for inst, table in routes.items()}
         for ln in self.lanes.values():
@@ -256,16 +269,13 @@ class Simulation:
         self.protocol.bind(self)
 
     # ------------------------------------------------------------------ util
-    def _push(self, t: float, kind: str, data: Any, epoch_exempt: bool = False) -> None:
-        self._counter += 1
-        epoch = -1 if epoch_exempt else self.epoch
-        heapq.heappush(self.heap, (t, self._counter, kind, epoch, data))
-
     def call_at(self, t: float, fn: Callable[[float], None]) -> None:
-        """Schedule a protocol callback (dropped on epoch change)."""
-        self._push(max(t, self.now), "call", fn)
+        """Schedule ``fn(t)`` at virtual time ``t`` (not before now); it is
+        dropped if a failure bumps the epoch first."""
+        self._counter += 1
+        heapq.heappush(self.heap, (max(t, self.now), self._counter, "call", self.epoch, fn))
 
-    def enqueue_trigger(self, inst: InstanceId, meta: dict) -> None:
+    def enqueue_trigger(self, inst: InstanceId, round_id: int) -> None:
         """Enqueue a coordinator trigger as an in-stream pseudo-message.
 
         The trigger is dispatched through the worker's CPU in arrival order
@@ -274,22 +284,21 @@ class Simulation:
         an orphan across the aligned cut), and on a straggling worker the
         trigger — hence the source's marker — waits behind the backlog,
         which is the mechanism behind COOR's skew sensitivity (paper
-        §VII-B, skewed NexMark).
+        §VII-B, skewed NexMark). Its ``seq`` is the round id.
         """
         lane = self.lanes[(_COORD, 0) + inst]
-        self._enqueue(self.now, Message(Kind.MARKER, 0, None, lane, meta={**meta, "trigger": True}))
+        self._enqueue(self.now, Message(Kind.MARKER, round_id, None, lane))
 
     # --------------------------------------------------------------- sources
-    def _schedule_source_records(self, inst: InstanceId, t_floor: float) -> None:
-        """Reserve heap keys for the cursor's remaining records and push the
-        first; ``run`` pushes each next one when its predecessor pops."""
-        cur = self.cursors[inst]
-        part = cur.log.partitions[cur.partition]
-        start = cur.offset
+    def _schedule_source_records(self, lane: _Lane, t_floor: float) -> None:
+        """Reserve heap keys for the source lane's remaining records, from
+        its offset on, and push the first; ``run`` pushes each next one when
+        its predecessor pops."""
+        part, start = lane.part, lane.recv
         base = self._counter + 1 - start
         self._counter += len(part) - start
         if start < len(part):
-            src = (self.lanes[(_SRC, 0) + inst], part, base, t_floor)
+            src = (lane, part, base, t_floor)
             key = max(part[start].ingest_ts, t_floor)
             heapq.heappush(self.heap, (key, base + start, "src", self.epoch, (src, start)))
 
@@ -347,12 +356,11 @@ class Simulation:
         # re-dispatch this worker while we are mid-process
         self.current[w] = outbox
 
-        cur = lane.cursor
-        if cur is not None:
-            if msg.seq != cur.offset:
+        if lane.part is not None:
+            if msg.seq != lane.recv:
                 self._outbox = self.current[w] = None
                 return None  # stale pre-rollback schedule
-            cur.advance()
+            lane.recv += 1
             self.telemetry.n_source_emitted += 1
             service = lane.service
             self._emit(t, lane, msg.record)
@@ -399,14 +407,14 @@ class Simulation:
         """COOR: broadcast a marker on every non-sink outgoing channel.
 
         Only called while a marker is dispatched, so the markers leave with
-        that dispatch's outbox. Markers do not consume data sequence
-        numbers; channel-FIFO relative to data holds because arrival times
-        are monotone in send times.
+        that dispatch's outbox. A marker's ``seq`` is its round id: markers
+        do not consume data sequence numbers, and channel-FIFO relative to
+        data holds because arrival times are monotone in send times.
         """
         for lane in self.out_lanes[inst]:
             if lane.to_sink:
                 continue
-            msg = Message(Kind.MARKER, lane.sent, None, lane, MARKER_BYTES, meta={"round": round_id})
+            msg = Message(Kind.MARKER, round_id, None, lane, MARKER_BYTES)
             self.telemetry.n_marker_msgs += 1
             self._send_cost += self.cost.serialize_per_byte * MARKER_BYTES
             self._outbox.append(msg)
@@ -429,7 +437,7 @@ class Simulation:
             state_bytes=sb,
             last_sent={ln.ch: ln.sent for ln in self.out_lanes[inst]},
             last_recv={ln.ch: ln.recv for ln in self.in_lanes[inst]},
-            source_offset=self.cursors[inst].snapshot() if spec.is_source else None,
+            source_offset=self.source_lanes[inst].recv if spec.is_source else None,
             duration=self.cost.snapshot_time(sb) + extra_duration,
         )
         self.store.put(StoredCheckpoint(meta=meta, state=state))
@@ -452,16 +460,13 @@ class Simulation:
             self._extra_service += self.cost.snapshot_sync
         else:
             self.busy_until[w] = max(self.busy_until[w], self.now) + self.cost.snapshot_sync
-            self._push(self.busy_until[w], "kick", w)
+            self.call_at(self.busy_until[w], partial(self._dispatch, w))
         return meta
-
-    def log_proto_message(self, n_bytes: int) -> None:
-        """Account a standalone protocol message (e.g. checkpoint metadata
-        to the coordinator); these bypass worker CPUs."""
-        self.telemetry.proto_msg_bytes += n_bytes
 
     # -------------------------------------------------------------- failures
     def _fail(self, t: float) -> None:
+        """The failure: the only place the epoch changes, so every event
+        scheduled before it turns stale, sink arrivals excepted."""
         self.failed = True
         self.epoch += 1
         for lane in self.lanes.values():
@@ -473,7 +478,7 @@ class Simulation:
         self.current = [None] * self.W
         self.busy_until = [t] * self.W
         self.telemetry.recovery["t_fail"] = t
-        self._push(t + self.cost.detect_delay, "detect", None)
+        self.call_at(t + self.cost.detect_delay, self._detect)
 
     def _detect(self, t: float) -> None:
         plan = self.protocol.plan_recovery(t)
@@ -493,31 +498,33 @@ class Simulation:
             invalid=plan.invalid,
             line_info=plan.info,
         )
-        self._push(t + restart, "resume", plan)
+        self.call_at(t + restart, partial(self._resume, plan))
 
-    def _resume(self, t: float, plan) -> None:
+    def _resume(self, plan, t: float) -> None:
         for inst, idx in plan.line.items():
             cp = self.store.get(inst, idx)
             spec = self.graph.ops[inst[0]]
             if spec.stateful:
                 self.instances[inst].restore(cp.state)
             if spec.is_source:
-                self.cursors[inst].restore(cp.meta.source_offset or 0)
+                self.source_lanes[inst].recv = cp.meta.source_offset
             for ch, s in cp.meta.last_sent.items():
                 self.lanes[ch].sent = s
                 self.msg_log.truncate(ch, s)
             for ch, s in cp.meta.last_recv.items():
                 self.lanes[ch].recv = s
         self.failed = False
-        for inst in self.cursors:
-            self._schedule_source_records(inst, t + 1e-6)
-        k = 0
+        for lane in self.source_lanes.values():
+            self._schedule_source_records(lane, t + 1e-6)
+        k, latency = 0, self.cost.channel_latency
         for ch in sorted(plan.replay.keys()):
             lane = self.lanes[ch]
             for seq, rec in plan.replay[ch]:
                 k += 1
-                self._push(t + self.cost.channel_latency + k * 1e-7, "arrive",
-                           Message(Kind.DATA, seq, rec, lane))
+                self._counter += 1
+                msg = Message(Kind.DATA, seq, rec, lane)
+                heapq.heappush(self.heap, (t + latency + k * 1e-7, self._counter, "arrive",
+                                           self.epoch, msg))
         self.telemetry.recovery["t_resume"] = t
         self.protocol.on_resume(t)
 
@@ -575,11 +582,11 @@ class Simulation:
         """The event loop of :meth:`run`: pop and handle events until the
         heap is empty."""
         self.horizon = duration
-        for inst in self.cursors:
-            self._schedule_source_records(inst, 0.0)
+        for lane in self.source_lanes.values():
+            self._schedule_source_records(lane, 0.0)
         self.protocol.on_start()
         if fail_at is not None:
-            self._push(fail_at, "fail", None, epoch_exempt=True)
+            self.call_at(fail_at, self._fail)
 
         pops = 0
         heap = self.heap
@@ -621,16 +628,7 @@ class Simulation:
                 self._dispatch(w, t)
             elif kind == "sink":
                 self._sink_arrive(t, data)
-            elif kind == "kick":
-                self._dispatch(data, t)
             elif kind == "call":
                 data(t)
-            elif kind == "fail":
-                if not self.failed:
-                    self._fail(t)
-            elif kind == "detect":
-                self._detect(t)
-            elif kind == "resume":
-                self._resume(t, data)
             else:  # pragma: no cover
                 raise AssertionError(kind)

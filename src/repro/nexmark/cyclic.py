@@ -33,7 +33,7 @@ from repro.dataflow.operators import (
     CyclicJoinOp,
     CyclicProjectOp,
     CyclicSelectOp,
-    PassThrough,
+    Operator,
 )
 from repro.nexmark.generator import DRAW_CHUNK
 
@@ -43,24 +43,24 @@ EVENT_MIX = {"add_link": 0.60, "add_source": 0.15, "del_link": 0.20, "del_source
 def reachability_graph() -> LogicalGraph:
     """Build the cyclic query's dataflow graph (Fig. 6)."""
     g = LogicalGraph()
-    g.add_op(OperatorSpec("src_links", "source", stateful=False, factory=PassThrough,
+    g.add_op(OperatorSpec("src_links", "source", stateful=False, factory=Operator,
                           source_topic="links"))
-    g.add_op(OperatorSpec("src_sources", "source", stateful=False, factory=PassThrough,
+    g.add_op(OperatorSpec("src_sources", "source", stateful=False, factory=Operator,
                           source_topic="sources"))
     g.add_op(
         OperatorSpec(
             "cjoin",
             "join",
             stateful=True,
-            factory=lambda i, n: CyclicJoinOp(
-                i, n, link_op="src_links", source_op="src_sources", loop_op="project"
+            factory=lambda: CyclicJoinOp(
+                link_op="src_links", source_op="src_sources", loop_op="project"
             ),
         )
     )
     g.add_op(OperatorSpec("select", "select", stateful=False,
-                          factory=lambda i, n: CyclicSelectOp(i, n)))
+                          factory=CyclicSelectOp))
     g.add_op(OperatorSpec("project", "project", stateful=False,
-                          factory=lambda i, n: CyclicProjectOp(i, n)))
+                          factory=CyclicProjectOp))
     g.add_op(OperatorSpec("sink", "sink", stateful=False))
     g.add_edge(Edge("src_links", "cjoin", routing="hash", key_fn=lambda r: r.value["u"]))
     g.add_edge(Edge("src_sources", "cjoin", routing="hash",

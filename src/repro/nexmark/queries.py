@@ -17,9 +17,9 @@ from repro.dataflow.operators import (
     FilterOp,
     IncrementalJoinOp,
     MapOp,
+    Operator,
     WindowCountOp,
     WindowJoinOp,
-    PassThrough,
 )
 from .generator import Q3_CATEGORY, Q3_STATES
 
@@ -30,16 +30,14 @@ WINDOW_SECONDS = 10.0  #: tumbling window for Q8/Q12
 def q1() -> LogicalGraph:
     """Q1: bids -> map(price * 0.908) -> sink; forward routing only."""
     g = LogicalGraph()
-    g.add_op(OperatorSpec("src_bids", "source", stateful=False, factory=PassThrough,
+    g.add_op(OperatorSpec("src_bids", "source", stateful=False, factory=Operator,
                           source_topic="bids"))
     g.add_op(
         OperatorSpec(
             "map",
             "map",
             stateful=False,
-            factory=lambda i, n: MapOp(
-                i,
-                n,
+            factory=lambda: MapOp(
                 fn=lambda v: {
                     "auction": v["auction"],
                     "bidder": v["bidder"],
@@ -74,16 +72,16 @@ class _Q3Join(IncrementalJoinOp):
 def q3() -> LogicalGraph:
     """Q3: persons -> filter(state) -> join <- auctions(category); shuffles."""
     g = LogicalGraph()
-    g.add_op(OperatorSpec("src_persons", "source", stateful=False, factory=PassThrough,
+    g.add_op(OperatorSpec("src_persons", "source", stateful=False, factory=Operator,
                           source_topic="persons"))
-    g.add_op(OperatorSpec("src_auctions", "source", stateful=False, factory=PassThrough,
+    g.add_op(OperatorSpec("src_auctions", "source", stateful=False, factory=Operator,
                           source_topic="auctions"))
     g.add_op(
         OperatorSpec(
             "filter_p",
             "filter",
             stateful=False,
-            factory=lambda i, n: FilterOp(i, n, pred=lambda v: v["state"] in Q3_STATES),
+            factory=lambda: FilterOp(pred=lambda v: v["state"] in Q3_STATES),
         )
     )
     g.add_op(
@@ -91,8 +89,8 @@ def q3() -> LogicalGraph:
             "join",
             "join",
             stateful=True,
-            factory=lambda i, n: _Q3Join(
-                i, n, left_op="filter_p", right_op="src_auctions",
+            factory=lambda: _Q3Join(
+                left_op="filter_p", right_op="src_auctions",
                 emit=_q3_emit, out_kind="q3_out",
             ),
         )
@@ -114,18 +112,16 @@ def _q8_emit(p, a, w):
 def q8() -> LogicalGraph:
     """Q8: tumbling-window join persons x auctions on seller."""
     g = LogicalGraph()
-    g.add_op(OperatorSpec("src_persons", "source", stateful=False, factory=PassThrough,
+    g.add_op(OperatorSpec("src_persons", "source", stateful=False, factory=Operator,
                           source_topic="persons"))
-    g.add_op(OperatorSpec("src_auctions", "source", stateful=False, factory=PassThrough,
+    g.add_op(OperatorSpec("src_auctions", "source", stateful=False, factory=Operator,
                           source_topic="auctions"))
     g.add_op(
         OperatorSpec(
             "winjoin",
             "window_join",
             stateful=True,
-            factory=lambda i, n: WindowJoinOp(
-                i,
-                n,
+            factory=lambda: WindowJoinOp(
                 left_op="src_persons",
                 right_op="src_auctions",
                 window=WINDOW_SECONDS,
@@ -144,14 +140,14 @@ def q8() -> LogicalGraph:
 def q12() -> LogicalGraph:
     """Q12: tumbling-window bid count per bidder."""
     g = LogicalGraph()
-    g.add_op(OperatorSpec("src_bids", "source", stateful=False, factory=PassThrough,
+    g.add_op(OperatorSpec("src_bids", "source", stateful=False, factory=Operator,
                           source_topic="bids"))
     g.add_op(
         OperatorSpec(
             "wincount",
             "window_count",
             stateful=True,
-            factory=lambda i, n: WindowCountOp(i, n, window=WINDOW_SECONDS, out_kind="q12_out"),
+            factory=lambda: WindowCountOp(window=WINDOW_SECONDS, out_kind="q12_out"),
         )
     )
     g.add_op(OperatorSpec("sink", "sink", stateful=False))

@@ -64,13 +64,12 @@ class CoordinatedProtocol(Protocol):
         r = self.round_id
         self.round_members[r] = {}
         self.round_start[r] = t
-        for w in range(self.sim.W):
-            self.sim.log_proto_message(self.ROUND_CTRL_BYTES)
-        for inst in self.sim.cursors:
+        self.sim.telemetry.proto_msg_bytes += self.ROUND_CTRL_BYTES * self.sim.W
+        for inst in self.sim.source_lanes:
             # the coordinator's trigger travels through the worker CPU: on a
             # straggling worker the source's snapshot + markers are delayed
             # behind the backlog (the paper's skew mechanism)
-            self.sim.enqueue_trigger(inst, {"round": r})
+            self.sim.enqueue_trigger(inst, r)
         self._maybe_complete(r, t)
 
     def _maybe_complete(self, r: int, t: float) -> None:
@@ -80,8 +79,7 @@ class CoordinatedProtocol(Protocol):
             self.sim.telemetry.record_round(
                 r, self.round_start[r], end, len(self.round_members[r])
             )
-            for w in range(self.sim.W):
-                self.sim.log_proto_message(self.ROUND_CTRL_BYTES)
+            self.sim.telemetry.proto_msg_bytes += self.ROUND_CTRL_BYTES * self.sim.W
             # fixed-period rounds (Flink-style): the next round starts one
             # interval after this round *started*, unless the round itself
             # overran the interval (stragglers/skew)
@@ -91,11 +89,11 @@ class CoordinatedProtocol(Protocol):
 
     # -- marker handling ---------------------------------------------------
     def on_marker(self, t: float, inst: InstanceId, msg: Message) -> None:
-        r = msg.meta["round"]
+        r = msg.seq  # a marker's or trigger's seq is its round
         if r <= self.last_round.get(inst, 0) or r != self.round_id:
             return  # marker of a superseded (pre-failure) round
-        in_lanes = self.sim.in_lanes[inst]  # none at a source
-        if not msg.meta.get("trigger"):  # a coordinator trigger needs no alignment
+        in_lanes = self.sim.in_lanes[inst]
+        if in_lanes:  # a source has none: its coordinator trigger needs no alignment
             got = self.aligning.setdefault(inst, set())
             got.add(msg.lane)
             msg.lane.blocked = True

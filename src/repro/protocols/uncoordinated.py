@@ -86,7 +86,7 @@ class UncoordinatedProtocol(Protocol):
         )
         # checkpoint metadata announced to the coordinator (Table II: the
         # only message overhead UNC introduces)
-        self.sim.log_proto_message(CKPT_META_BYTES)
+        self.sim.telemetry.proto_msg_bytes += CKPT_META_BYTES
 
     # -- data path ---------------------------------------------------------
     def on_send(self, t: float, inst: InstanceId, msg: Message) -> None:

@@ -19,9 +19,6 @@ from repro.oracle import assert_equivalent
 @pytest.fixture(scope="module")
 def metrics_frame():
     rows = [
-        dict(query="q1", workers=10, protocol="none", total_bytes=1000, data_bytes=1000,
-             ckpt_total=0, invalid=0, avg_ckpt_time=float("nan"),
-             restart_time=float("nan"), n_replay=0),
         dict(query="q1", workers=10, protocol="COOR", total_bytes=1010, data_bytes=1000,
              ckpt_total=240, invalid=0, avg_ckpt_time=0.0412, restart_time=0.25,
              n_replay=0),
@@ -87,7 +84,7 @@ def duckdb_one(sql, params, **tables):
 
 
 def _run_with_lat(cfg):
-    row, res = run_config(cfg, keep_result=True)
+    row, res = run_config(cfg)
     con = duckdb.connect()
     con.register("lat", pd.DataFrame(res.telemetry.latencies,
                                       columns=["sink_ts", "ingest_ts"]))
@@ -129,7 +126,7 @@ class TestOverheadAnalytics:
         pdf = overhead_ratios(spark, metrics_frame).toPandas().set_index("protocol")
         assert pdf.loc["CIC", "ratio"] == pytest.approx(2.1)
         assert pdf.loc["COOR", "ratio"] == pytest.approx(1.01)
-        assert "none" not in pdf.index
+        assert sorted(pdf.index) == ["CIC", "COOR", "UNC"]  # one row per run
 
 
 class TestCheckpointAnalytics:

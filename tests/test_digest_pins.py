@@ -1,4 +1,4 @@
-"""Bit-identity pins for four small end-to-end cells.
+"""Bit-identity pins for five small end-to-end cells.
 
 Each cell goes through ``config.build`` -> ``Simulation.run`` ->
 ``harness.metrics_row`` and is reduced to crc32 digests of the metrics
@@ -14,7 +14,9 @@ re-records the constants and says so.
 - Q1 under CIC with a failure: source cursors rewound and re-scheduled at
   resume, piggybacks and forced checkpoints;
 - Q3 under UNC with a failure: recovery-line search, replay of logged
-  in-flight messages and resume.
+  in-flight messages and resume;
+- Q12 under UNC with a hot key and a failure: window-count snapshots,
+  a restore to the recovery line and replay into the count windows.
 """
 import json
 import zlib
@@ -41,6 +43,10 @@ CELLS = {
         query="q3", protocol="UNC", workers=3, rate=1000.0, duration=10.0,
         fail_at=6.0, seed=7,
     ),
+    "q12-unc-hot": ExperimentConfig(
+        query="q12", protocol="UNC", workers=3, rate=1000.0, duration=10.0,
+        fail_at=6.0, hot_ratio=0.3, seed=7,
+    ),
 }
 
 #: (metrics row, sink, state) digests
@@ -49,6 +55,7 @@ PINS = {
     "q8-coor-hot": ("b78b00b7", "09f13be3", "9900817d"),
     "q1-cic-fail": ("ee3ef819", "e4ab2665", "00000000"),
     "q3-unc-fail": ("b50228fd", "295a7298", "01d073a7"),
+    "q12-unc-hot": ("430b92fb", "986219f0", "ff8ac244"),
 }
 
 #: the MST passed to ``metrics_row``; it only feeds the row's ``mst`` column

@@ -4,7 +4,7 @@ import pytest
 from repro.core.config import make_protocol
 from repro.dataflow.graph import Edge, LogicalGraph, OperatorSpec
 from repro.dataflow.messages import Record, stable_hash
-from repro.dataflow.operators import PassThrough
+from repro.dataflow.operators import Operator
 from repro.dataflow.simulator import Simulation
 from repro.nexmark.cyclic import reachability_graph
 from repro.nexmark.generator import topics_for_query
@@ -17,8 +17,8 @@ def _rec(key=7, value=None):
 
 def chain() -> LogicalGraph:
     g = LogicalGraph()
-    g.add_op(OperatorSpec("src", "source", stateful=False, factory=PassThrough, source_topic="t"))
-    g.add_op(OperatorSpec("map", "map", stateful=False, factory=PassThrough))
+    g.add_op(OperatorSpec("src", "source", stateful=False, factory=Operator, source_topic="t"))
+    g.add_op(OperatorSpec("map", "map", stateful=False, factory=Operator))
     g.add_op(OperatorSpec("sink", "sink", stateful=False))
     g.add_edge(Edge("src", "map", routing="forward"))
     g.add_edge(Edge("map", "sink", routing="forward"))
@@ -32,7 +32,7 @@ class TestValidation:
     def test_duplicate_op_rejected(self):
         g = chain()
         with pytest.raises(ValueError, match="duplicate"):
-            g.add_op(OperatorSpec("map", "map", stateful=False, factory=PassThrough))
+            g.add_op(OperatorSpec("map", "map", stateful=False, factory=Operator))
 
     def test_edge_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown operator"):
@@ -50,22 +50,22 @@ class TestValidation:
 
     def test_unreachable_op_rejected(self):
         g = chain()
-        g.add_op(OperatorSpec("lonely", "map", stateful=False, factory=PassThrough))
+        g.add_op(OperatorSpec("lonely", "map", stateful=False, factory=Operator))
         g.add_edge(Edge("lonely", "sink"))
         with pytest.raises(ValueError, match="unreachable"):
             g.validate()
 
     def test_dead_end_rejected(self):
         g = chain()
-        g.add_op(OperatorSpec("dead", "map", stateful=False, factory=PassThrough))
+        g.add_op(OperatorSpec("dead", "map", stateful=False, factory=Operator))
         g.add_edge(Edge("src", "dead"))
         with pytest.raises(ValueError, match="dead end"):
             g.validate()
 
     def test_unmarked_cycle_rejected(self):
         g = chain()
-        g.add_op(OperatorSpec("a", "map", stateful=False, factory=PassThrough))
-        g.add_op(OperatorSpec("b", "map", stateful=False, factory=PassThrough))
+        g.add_op(OperatorSpec("a", "map", stateful=False, factory=Operator))
+        g.add_op(OperatorSpec("b", "map", stateful=False, factory=Operator))
         g.add_edge(Edge("src", "a"))
         g.add_edge(Edge("a", "b"))
         g.add_edge(Edge("b", "a"))  # cycle, not marked loop=True

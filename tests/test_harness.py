@@ -115,7 +115,7 @@ class TestMetricsRow:
     def test_coor_avg_ckpt_is_round_duration(self):
         cfg = ExperimentConfig(query="q12", protocol="COOR", workers=3, rate=300.0,
                                duration=8.0, fail_at=None, coor_interval=2.0)
-        row, res = run_config(cfg, keep_result=True)
+        row, res = run_config(cfg)
         assert row["avg_ckpt_time"] == pytest.approx(
             rounds_frame(res.telemetry)["duration"].mean()
         )

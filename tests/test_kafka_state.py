@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import make_protocol
-from repro.dataflow.kafka_sim import ReplayableLog, SourceCursor
+from repro.dataflow.kafka_sim import ReplayableLog
 from repro.dataflow.messages import Record
 from repro.dataflow.simulator import Simulation
 from repro.dataflow.state import (
@@ -53,40 +53,57 @@ class TestReplayableLog:
             assert all(a is b for a, b in zip(got, want))
 
 
+@pytest.fixture(scope="module")
+def rewound_run():
+    """A Q1 UNC run with a failure. Returns the simulation, the uids each
+    source sent, in order, and per source its offset and the number of
+    records it had sent when the resume rewound it."""
+    topics = topics_for_query("q1", rate=50, duration=4, n_workers=2, seed=1)
+    sim = Simulation(QUERIES["q1"](), 2, make_protocol("UNC", 1.0, 1.0), topics)
+    served, rewound = {}, {}
+    on_send, on_resume = sim.protocol.on_send, sim.protocol.on_resume
+
+    def record(t, inst, msg):
+        if inst in sim.source_lanes:  # Q1's sources send one message per record
+            served.setdefault(inst, []).append(msg.record.uid)
+        on_send(t, inst, msg)
+
+    def resume(t):
+        for inst, lane in sim.source_lanes.items():
+            rewound[inst] = (lane.recv, len(served.get(inst, ())))
+        on_resume(t)
+
+    sim.protocol.on_send, sim.protocol.on_resume = record, resume
+    sim.run(4.0, fail_at=2.5)
+    return sim, served, rewound
+
+
 class TestSourceCursor:
-    def test_replay_same_suffix_after_restore(self):
-        log = ReplayableLog.from_records("t", recs(6), 1)
-        cur = SourceCursor(log, 0)
-        part = log.partitions[cur.partition]
-        for _ in range(3):
-            cur.advance()
-        snap = cur.snapshot()
-        assert snap == 3
+    """A source's cursor is its source lane: ``recv`` is the offset into
+    the partition ``part``."""
 
-        def drain3():
-            out = []
-            for _ in range(3):
-                out.append(part[cur.offset].uid)
-                cur.advance()
-            return out
+    def test_replay_same_suffix_after_restore(self, rewound_run):
+        # each source serves its partition in order up to the failure, is
+        # rewound to a checkpointed offset behind that point, and then
+        # re-serves exactly the partition's suffix from that offset
+        sim, served, rewound = rewound_run
+        assert set(rewound) == set(sim.source_lanes)
+        for inst, lane in sim.source_lanes.items():
+            offset, n_before = rewound[inst]
+            uids = [r.uid for r in lane.part]
+            assert 0 < offset < n_before
+            assert served[inst][:n_before] == uids[:n_before]
+            assert served[inst][n_before:] == uids[offset:]
 
-        rest = drain3()
-        assert cur.offset == len(part)
-        cur.restore(snap)
-        assert cur.offset == 3
-        assert drain3() == rest == ["r3", "r4", "r5"]
-
-    def test_exhausted(self):
-        # a run serves every cursor to the end of its partition, the
+    def test_exhausted(self, rewound_run):
+        # a run serves every source to the end of its partition, the
         # rewound suffix again after the failure, and nothing past it
-        topics = topics_for_query("q1", rate=50, duration=4, n_workers=2, seed=1)
-        sim = Simulation(QUERIES["q1"](), 2, make_protocol("UNC", 1.0, 1.0), topics)
-        sim.run(4.0, fail_at=2.5)
-        assert sim.cursors
-        for cur in sim.cursors.values():
-            assert cur.offset == len(cur.log.partitions[cur.partition]) > 0
+        sim, _, _ = rewound_run
+        assert sim.source_lanes
+        for lane in sim.source_lanes.values():
+            assert lane.recv == len(lane.part) > 0
         assert sim.telemetry.recovery["n_replay"] > 0
-        total = sum(log.total_events() for log in topics.values())
+        total = sum(len(lane.part) for lane in sim.source_lanes.values())
         assert sim.telemetry.n_source_emitted > total
 
 

@@ -11,6 +11,10 @@ from repro.dataflow.messages import (
     payload_bytes_for,
     stable_hash,
 )
+from repro.dataflow.simulator import Simulation
+from repro.nexmark.generator import topics_for_query
+from repro.nexmark.queries import QUERIES
+from repro.protocols import CoordinatedProtocol
 
 
 def _rec(kind="bid", key=1, value=None, uid="r1", ts=1.0):
@@ -62,10 +66,31 @@ class TestMessage:
             proto_bytes=proto,
         )
 
-    def test_slotted_and_meta_unset_on_data(self):
+    def test_slotted_and_piggyback_unset_on_data(self):
         m = self._msg()
         assert not hasattr(m, "__dict__")
-        assert m.meta is None and m.piggyback is None
+        assert m.piggyback is None
+
+    def test_marker_seq_is_its_round(self):
+        # COOR markers and coordinator triggers carry their round in seq; in
+        # a failure-free run every marker belongs to the running round
+        topics = topics_for_query("q3", rate=200, duration=6, n_workers=2, seed=1)
+        sim = Simulation(QUERIES["q3"](), 2, CoordinatedProtocol(round_interval=1.0), topics)
+        proto, seen = sim.protocol, []
+        on_marker = proto.on_marker
+
+        def record(t, inst, msg):
+            seen.append((inst, msg.kind, msg.seq, proto.round_id, msg.proto_bytes))
+            on_marker(t, inst, msg)
+
+        proto.on_marker = record
+        sim.run(6.0)
+        assert proto.round_id > 1
+        assert {seq for _, _, seq, _, _ in seen} == set(range(1, proto.round_id + 1))
+        for inst, kind, seq, running, n_bytes in seen:
+            assert kind is Kind.MARKER and seq == running
+            # a trigger reaches a source, which has no in-lanes
+            assert n_bytes == (MARKER_BYTES if sim.in_lanes[inst] else 0)
 
     def test_marker_and_meta_sizes_positive(self):
         assert MARKER_BYTES > 0 and CKPT_META_BYTES > 0

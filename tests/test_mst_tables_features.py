@@ -16,6 +16,7 @@ from repro.core.tables import (
     PAPER_TABLE2,
     PAPER_TABLE3,
     PAPER_TABLE4,
+    fig7_frame,
     skew_configs,
     table23_configs,
     table4_configs,
@@ -90,10 +91,10 @@ class TestPaperConstants:
 class TestConfigGrids:
     def test_table23_grid_shape(self):
         cfgs = table23_configs(workers=(10, 50))
-        assert len(cfgs) == 2 * 4 * 4
+        assert len(cfgs) == 2 * 4 * 3
+        assert {c.protocol for c in cfgs} == {"COOR", "UNC", "CIC"}
         assert all(c.rate == -0.8 for c in cfgs)
-        assert all(c.fail_at is None for c in cfgs if c.protocol == "none")
-        assert all(c.fail_at == 18.0 for c in cfgs if c.protocol != "none")
+        assert all(c.fail_at == 18.0 for c in cfgs)
 
     def test_table4_grid_shape(self):
         cfgs = table4_configs()
@@ -105,6 +106,17 @@ class TestConfigGrids:
         cfgs = skew_configs()
         assert len(cfgs) == 3 * 3 * 3
         assert all(c.fail_at is None and c.hot_ratio > 0 for c in cfgs)
+
+    def test_fig7_normalises_by_the_checkpoint_free_probe(self):
+        metrics = pd.DataFrame([
+            dict(query="q1", workers=2, protocol="CIC", mst=50.0, p50_pre=0.1),
+            dict(query="q1", workers=2, protocol="COOR", mst=100.0, p50_pre=0.1),
+        ])
+        f = fig7_frame(metrics)
+        base = measure_mst("q1", "none", 2)
+        assert list(f.columns) == ["query", "workers", "protocol", "mst", "normalized"]
+        assert list(f.protocol) == ["CIC", "COOR"]
+        assert list(f.normalized) == [round(50.0 / base, 3), round(100.0 / base, 3)]
 
     def test_table4_frame_formatting(self):
         metrics = pd.DataFrame(

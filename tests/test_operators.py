@@ -13,10 +13,12 @@ from repro.dataflow.operators import (
     FilterOp,
     IncrementalJoinOp,
     MapOp,
-    PassThrough,
+    Operator,
     WindowCountOp,
     WindowJoinOp,
 )
+from repro.nexmark.cyclic import reachability_graph
+from repro.nexmark.queries import QUERIES
 
 
 def rec(uid, key, value, ts=0.0, kind="event"):
@@ -25,35 +27,41 @@ def rec(uid, key, value, ts=0.0, kind="event"):
 
 class TestMapFilter:
     def test_map_transforms(self):
-        op = MapOp(0, 1, fn=lambda v: {"x": v["x"] * 2}, out_kind="m")
+        op = MapOp(fn=lambda v: {"x": v["x"] * 2}, out_kind="m")
         out = op.process(rec("a", 1, {"x": 3}), "src")
         assert len(out) == 1 and out[0].value == {"x": 6} and out[0].kind == "m"
 
     def test_map_uid_derived(self):
-        op = MapOp(0, 1, fn=lambda v: v, out_kind="m")
+        op = MapOp(fn=lambda v: v, out_kind="m")
         assert op.process(rec("a", 1, {}), "src")[0].uid == "a/m"
 
     def test_filter_keeps(self):
-        op = FilterOp(0, 1, pred=lambda v: v["x"] > 0)
+        op = FilterOp(pred=lambda v: v["x"] > 0)
         assert len(op.process(rec("a", 1, {"x": 1}), "s")) == 1
 
     def test_filter_drops(self):
-        op = FilterOp(0, 1, pred=lambda v: v["x"] > 0)
+        op = FilterOp(pred=lambda v: v["x"] > 0)
         assert op.process(rec("a", 1, {"x": -1}), "s") == []
 
-    def test_passthrough(self):
-        op = PassThrough(0, 1)
-        r = rec("a", 1, {})
-        assert op.process(r, "s") == [r]
+    def test_sources_are_bare_operators(self):
+        # a source's records come from its partition, so the simulator never
+        # calls process on a source instance; the base class refuses it
+        graphs = [build() for build in QUERIES.values()] + [reachability_graph()]
+        sources = [s for g in graphs for s in g.ops.values() if s.is_source]
+        assert sources and all(s.factory is Operator for s in sources)
+        op = Operator()
+        assert op.snapshot() is None and op.state_bytes() == 0
+        with pytest.raises(NotImplementedError):
+            op.process(rec("a", 1, {}), "s")
 
     def test_stateless_ops_have_no_state(self):
-        for op in [MapOp(0, 1, fn=lambda v: v, out_kind="m"), FilterOp(0, 1, pred=bool)]:
+        for op in [MapOp(fn=lambda v: v, out_kind="m"), FilterOp(pred=bool)]:
             assert op.state_bytes() == 0 and op.snapshot() is None
 
 
 def make_join():
     return IncrementalJoinOp(
-        0, 1, left_op="L", right_op="R",
+        left_op="L", right_op="R",
         emit=lambda l, r: (f"j:{l['id']}:{r['id']}", l["id"], {"l": l["id"], "r": r["id"]}),
         out_kind="pair",
     )
@@ -124,7 +132,7 @@ class TestIncrementalJoin:
 
 def make_wjoin(window=10.0):
     return WindowJoinOp(
-        0, 1, left_op="L", right_op="R", window=window,
+        left_op="L", right_op="R", window=window,
         emit=lambda l, r, w: (f"w:{l['id']}:{r['id']}:{w}", l["id"], {"w": w}),
         out_kind="pair",
     )
@@ -169,20 +177,20 @@ class TestWindowJoin:
 
 class TestWindowCount:
     def test_running_counts(self):
-        c = WindowCountOp(0, 1, window=10.0, out_kind="o")
+        c = WindowCountOp(window=10.0, out_kind="o")
         o1 = c.process(rec("b1", 5, {}, ts=1.0), "s")
         o2 = c.process(rec("b2", 5, {}, ts=2.0), "s")
         assert o1[0].value["count"] == 1 and o2[0].value["count"] == 2
 
     def test_replayed_record_not_double_counted(self):
-        c = WindowCountOp(0, 1, window=10.0, out_kind="o")
+        c = WindowCountOp(window=10.0, out_kind="o")
         c.process(rec("b1", 5, {}, ts=1.0), "s")
         assert c.process(rec("b1", 5, {}, ts=1.0), "s") == []
         out = c.process(rec("b2", 5, {}, ts=2.0), "s")
         assert out[0].value["count"] == 2
 
     def test_per_key_per_window(self):
-        c = WindowCountOp(0, 1, window=10.0, out_kind="o")
+        c = WindowCountOp(window=10.0, out_kind="o")
         c.process(rec("b1", 5, {}, ts=1.0), "s")
         o = c.process(rec("b2", 6, {}, ts=1.0), "s")
         assert o[0].value["count"] == 1
@@ -190,12 +198,12 @@ class TestWindowCount:
         assert o[0].value["count"] == 1 and o[0].value["window"] == 1
 
     def test_uid_content_addressed(self):
-        c = WindowCountOp(0, 1, window=10.0, out_kind="o")
+        c = WindowCountOp(window=10.0, out_kind="o")
         out = c.process(rec("b1", 5, {}, ts=1.0), "s")
         assert out[0].uid == "q12:5:0:1"
 
     def test_snapshot_restore(self):
-        c = WindowCountOp(0, 1, window=10.0, out_kind="o")
+        c = WindowCountOp(window=10.0, out_kind="o")
         c.process(rec("b1", 5, {}, ts=1.0), "s")
         snap = c.snapshot()
         c.process(rec("b2", 5, {}, ts=2.0), "s")
@@ -205,7 +213,7 @@ class TestWindowCount:
 
 
 def make_cjoin():
-    return CyclicJoinOp(0, 1, link_op="L", source_op="S", loop_op="P")
+    return CyclicJoinOp(link_op="L", source_op="S", loop_op="P")
 
 
 def link(uid, u, v, op="add_link"):
@@ -267,20 +275,20 @@ class TestCyclicSelectProject:
                    kind="pair")
 
     def test_select_drops_cycles(self):
-        s = CyclicSelectOp(0, 1)
+        s = CyclicSelectOp()
         assert s.process(self._pair((1, 2), (2, 1)), "j") == []
 
     def test_select_keeps_simple_extension(self):
-        s = CyclicSelectOp(0, 1)
+        s = CyclicSelectOp()
         assert len(s.process(self._pair((1, 2), (2, 3)), "j")) == 1
 
     def test_select_caps_path_length(self):
-        s = CyclicSelectOp(0, 1)
+        s = CyclicSelectOp()
         long_path = tuple(range(CyclicSelectOp.MAX_PATH_LEN))
         assert s.process(self._pair(long_path, (long_path[-1], 999)), "j") == []
 
     def test_project_extends_path(self):
-        p = CyclicProjectOp(0, 1)
+        p = CyclicProjectOp()
         out = p.process(self._pair((1, 2), (2, 3)), "s")
         assert out[0].value["path"] == (1, 2, 3)
         assert out[0].uid == "path:1:1-2-3"
@@ -309,7 +317,7 @@ ISOLATION_CASES = {
          (rec("l3", 1, {"id": 3}, ts=25.0), "L")],  # window 2 evicts window 0
     ),
     "window_count": (
-        lambda: WindowCountOp(0, 1, window=10.0, out_kind="o"),
+        lambda: WindowCountOp(window=10.0, out_kind="o"),
         [(rec("b1", 5, {}, ts=1.0), "s"), (rec("b2", 6, {}, ts=2.0), "s")],
         [(rec("b3", 5, {}, ts=3.0), "s"), (rec("b4", 6, {}, ts=4.0), "s"),
          (rec("b5", 5, {}, ts=25.0), "s")],  # window 2 evicts window 0
@@ -412,7 +420,7 @@ def _cyclic_record(i, step):
 @example([("add_source", 1, [2]), ("snapshot",), ("del_source", 1), ("add_source", 1, []),
           ("restore", 0), ("del_source", 1), ("add_source", 1, [2])])
 def test_indexed_source_delete_matches_full_scan(steps):
-    ops = [make_cjoin(), ScanCyclicJoinOp(0, 1, link_op="L", source_op="S", loop_op="P")]
+    ops = [make_cjoin(), ScanCyclicJoinOp(link_op="L", source_op="S", loop_op="P")]
     snaps = [[], []]
     for i, step in enumerate(steps):
         if step[0] == "snapshot":
@@ -464,7 +472,7 @@ DIFF_CASES = {
                   _side, _idx),
     ),
     "window_count": (
-        lambda: WindowCountOp(0, 1, window=10.0, out_kind="o"), ("counts", "max_window"),
+        lambda: WindowCountOp(window=10.0, out_kind="o"), ("counts", "max_window"),
         st.builds(lambda i: (rec(f"b{i}", i % 2, {}, ts=float(7 * i % 30)), "s"), _idx),
     ),
     "cyclic_join": (
