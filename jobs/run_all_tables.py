@@ -49,8 +49,9 @@ def main() -> None:
     print(f"[t4 done at {time.time()-t0:.0f}s]")
 
     # every sweep row carries its cell's MST; fig7_frame normalises it by
-    # the checkpoint-free MST probe of the same (query, workers)
-    print(render(fig7_frame(m23).drop(columns="mst"), "Fig. 7 shape — normalized MST"))
+    # the checkpoint-free MST probe of the same (query, workers), probed
+    # on the executors
+    print(render(fig7_frame(m23, spark).drop(columns="mst"), "Fig. 7 shape — normalized MST"))
     print(f"[mst done at {time.time()-t0:.0f}s]")
 
     for frac in ((0.5,) if quick else (0.5, 0.8)):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, get_type_hints
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -84,17 +84,19 @@ class MetricsRow:
 METRIC_COLUMNS = list(get_type_hints(MetricsRow))
 
 
-def _percentile(values: List[float], q: float) -> float:
-    return float(np.percentile(values, q)) if values else float("nan")
+def _percentile(values: np.ndarray, q: float) -> float:
+    return float(np.percentile(values, q)) if len(values) else float("nan")
 
 
 def _latency_stats(cfg: ExperimentConfig, res: SimResult) -> Dict[str, float]:
-    lat = res.telemetry.latencies
+    tel = res.telemetry
+    sink = np.frombuffer(tel.sink_ts)
+    lat = sink - np.frombuffer(tel.ingest_ts)
     t_fail = cfg.fail_at if cfg.fail_at is not None else cfg.duration
     warm = min(WARMUP, t_fail / 2)  # short runs: shrink the warmup window
-    pre = [s - i for (s, i) in lat if warm <= s < t_fail]
-    post_start = res.telemetry.recovery.get("t_resume", t_fail)
-    post = [s - i for (s, i) in lat if post_start <= s]
+    pre = lat[(warm <= sink) & (sink < t_fail)]
+    after = tel.recovery.get("t_resume", t_fail) <= sink
+    post = lat[after]
     out = {
         "p50_pre": _percentile(pre, 50),
         "p99_pre": _percentile(pre, 99),
@@ -104,15 +106,12 @@ def _latency_stats(cfg: ExperimentConfig, res: SimResult) -> Dict[str, float]:
     # the pre-failure p50 (paper §V: "returned to normal execution"),
     # measured from the failure instant
     out["recovery_time"] = float("nan")
-    if cfg.fail_at is not None and pre:
+    if cfg.fail_at is not None and len(pre):
         base = out["p50_pre"]
-        buckets: Dict[int, List[float]] = {}
-        for s, i in lat:
-            if s >= post_start:
-                buckets.setdefault(int(s), []).append(s - i)
-        for sec in sorted(buckets):
-            if np.median(buckets[sec]) <= recovered_threshold(base):
-                out["recovery_time"] = (sec + 1) - cfg.fail_at
+        secs = sink[after].astype(np.int64)  # sink times are >= 0: int() of each
+        for sec in np.unique(secs):
+            if np.median(post[secs == sec]) <= recovered_threshold(base):
+                out["recovery_time"] = (int(sec) + 1) - cfg.fail_at
                 break
     return out
 
@@ -218,6 +217,13 @@ def longest_first(cfgs: Sequence[ExperimentConfig]) -> List[int]:
     return sorted(range(len(cfgs)), key=lambda i: -cfgs[i].workers * abs(cfgs[i].rate))
 
 
+def spark_map(fn: Callable, args: Sequence[tuple], spark: Optional[SparkSession] = None) -> List:
+    """``[fn(*a) for a in args]``, as one Spark task per call with a session."""
+    if spark is None:
+        return [fn(*a) for a in args]
+    return spark.sparkContext.parallelize(args, max(len(args), 1)).map(lambda a: fn(*a)).collect()
+
+
 def sweep(cfgs: Sequence[ExperimentConfig], spark: Optional[SparkSession] = None) -> pd.DataFrame:
     """Run every config and return their metrics rows in submission order:
     one Spark task per config when a session is given, serially otherwise.
@@ -226,10 +232,5 @@ def sweep(cfgs: Sequence[ExperimentConfig], spark: Optional[SparkSession] = None
     import pandas as pd
 
     order = longest_first(cfgs)
-    cells = [cfgs[i] for i in order]
-    if spark is None:
-        done = list(map(_row, cells))
-    else:
-        done = spark.sparkContext.parallelize(cells, max(len(cells), 1)).map(_row).collect()
-    by_index = dict(zip(order, done))
+    by_index = dict(zip(order, spark_map(_row, [(cfgs[i],) for i in order], spark)))
     return pd.DataFrame([by_index[i] for i in range(len(cfgs))], columns=METRIC_COLUMNS)

@@ -38,6 +38,6 @@ def measure_mst(query: str, protocol: str, workers: int) -> float:
     total = res.telemetry.n_source_emitted
     # drain rate up to the *last sink arrival* — res.duration can be
     # inflated by a pending (no-op) protocol timer event past the horizon
-    t_end = max((s for s, _ in res.telemetry.latencies), default=res.duration)
+    t_end = max(res.telemetry.sink_ts, default=res.duration)
     return total / max(t_end, 1e-9)
 

@@ -17,6 +17,7 @@ from repro.analytics.checkpoints import invalid_summary
 from repro.analytics.overhead import overhead_ratios
 
 from .config import CYCLIC_FAIL_AT, FAIL_AT, RUN_DURATION, ExperimentConfig
+from .harness import spark_map
 from .mst import measure_mst
 
 QUERIES_T23 = ["q1", "q3", "q8", "q12"]
@@ -185,16 +186,16 @@ def table4_frame(metrics: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(rows).sort_values(["workers", "protocol"]).reset_index(drop=True)
 
 
-def fig7_frame(metrics: pd.DataFrame) -> pd.DataFrame:
+def fig7_frame(metrics: pd.DataFrame, spark: Optional[SparkSession] = None) -> pd.DataFrame:
     """Fig. 7 shape: each protocol's MST normalised by the checkpoint-free
-    MST of the same (query, workers), ``measure_mst(query, "none",
-    workers)``. ``metrics`` holds an ``mst`` per (query, workers,
+    MST of the same (query, workers), probed once per pair (a Spark task
+    with a session). ``metrics`` holds an ``mst`` per (query, workers,
     protocol); the rows keep their order."""
     out = metrics[["query", "workers", "protocol", "mst"]].reset_index(drop=True)
-    out["normalized"] = [
-        round(m / measure_mst(q, "none", int(w)), 3)
-        for q, w, m in zip(out["query"], out.workers, out.mst)
-    ]
+    keys = list(zip(out["query"], map(int, out.workers)))
+    pairs = list(dict.fromkeys(keys))
+    base = dict(zip(pairs, spark_map(measure_mst, [(q, "none", w) for q, w in pairs], spark)))
+    out["normalized"] = [round(m / base[k], 3) for k, m in zip(keys, out.mst)]
     return out
 
 

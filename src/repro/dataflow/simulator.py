@@ -27,14 +27,16 @@ fixed by the rules above):
 
 - Heap events are keyed ``(virtual time, counter)``; the counter is one
   global sequence, so events at equal virtual time pop in scheduling
-  order. There are five kinds: ``src`` (a source record is served),
+  order. There are four kinds: ``src`` (a source record is served),
   ``arrive`` (a message reaches its lane), ``proc`` (a worker finishes a
-  dispatch), ``sink`` (a message reaches the external sink) and ``call``
-  (a callback from :meth:`Simulation.call_at`: protocol timers, the
-  re-dispatch of a worker after a snapshot charge, and the failure, its
-  detection and the resume). Every event but ``sink`` carries the epoch
-  it was scheduled in, and only the failure bumps the epoch, so the
-  failure drops everything scheduled before it.
+  dispatch) and ``call`` (a callback from :meth:`Simulation.call_at`:
+  protocol timers, the re-dispatch of a worker after a snapshot charge,
+  and the failure, its detection and the resume). Every event carries the
+  epoch it was scheduled in, and only the failure bumps the epoch, so the
+  failure drops everything scheduled before it. A message to the external
+  sink is recorded, one latency later, when its ``proc`` event pops: these
+  pop in time order, nothing reads the sink during the run, and a failure
+  does not stop what was sent to it.
 - A source's Kafka offset is its source lane's ``recv`` (the next record
   to serve) and the lane holds the partition. Sources are scheduled
   lazily. Each source lane has at most one pending heap event, for its
@@ -74,7 +76,7 @@ Each run fact is kept once: the sink output in ``sinks`` (uid -> value per
 sink, first arrival wins), a checkpoint's metadata in the ``store`` (the
 counted ones also listed, as the same objects, in
 ``telemetry.checkpoints``), and one latency sample per first arrival in
-``telemetry.latencies``.
+the ``telemetry.sink_ts``/``ingest_ts`` columns.
 """
 from __future__ import annotations
 
@@ -528,16 +530,6 @@ class Simulation:
         self.telemetry.recovery["t_resume"] = t
         self.protocol.on_resume(t)
 
-    # ------------------------------------------------------------------ sink
-    def _sink_arrive(self, t: float, msg: Message) -> None:
-        results = self.sinks[msg.lane.ch[2]]
-        rec = msg.record
-        if rec.uid in results:
-            self.n_dup_sink += 1
-            return
-        results[rec.uid] = rec.value
-        self.telemetry.latencies.append((t, rec.ingest_ts))
-
     # ------------------------------------------------------------------- run
     def run(
         self,
@@ -588,17 +580,18 @@ class Simulation:
         if fail_at is not None:
             self.call_at(fail_at, self._fail)
 
-        pops = 0
+        pops, last_sink = 0, 0.0
         heap = self.heap
         heappop, heappush = heapq.heappop, heapq.heappush
         latency = self.cost.channel_latency
+        sink_ts, ingest_ts = self.telemetry.sink_ts, self.telemetry.ingest_ts
         while heap:
             pops += 1
             if pops > max_events:
                 raise RuntimeError(f"simulation exceeded {max_events} events")
             t, _, kind, epoch, data = heappop(heap)
             self.now = t
-            if epoch != self.epoch and epoch != -1:
+            if epoch != self.epoch:
                 continue  # stale (pre-failure) event
             if kind == "src":
                 src, off = data
@@ -619,16 +612,23 @@ class Simulation:
             elif kind == "proc":
                 w = data
                 for m in self.current[w] or ():
-                    self._counter += 1
-                    if m.lane.to_sink:
-                        heappush(heap, (t + latency, self._counter, "sink", -1, m))
-                    else:
+                    if not m.lane.to_sink:
+                        self._counter += 1
                         heappush(heap, (t + latency, self._counter, "arrive", self.epoch, m))
+                        continue
+                    # the external sink: the first arrival of a uid wins
+                    last_sink, rec = t + latency, m.record
+                    results = self.sinks[m.lane.ch[2]]
+                    if rec.uid in results:
+                        self.n_dup_sink += 1
+                    else:
+                        results[rec.uid] = rec.value
+                        sink_ts.append(last_sink)
+                        ingest_ts.append(rec.ingest_ts)
                 self.current[w] = None
                 self._dispatch(w, t)
-            elif kind == "sink":
-                self._sink_arrive(t, data)
             elif kind == "call":
                 data(t)
             else:  # pragma: no cover
                 raise AssertionError(kind)
+        self.now = max(self.now, last_sink)  # the run ends when its output has arrived

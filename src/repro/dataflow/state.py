@@ -8,14 +8,10 @@ testbed property, not a protocol property.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from .messages import Channel, InstanceId
-
-_seq = itemgetter(0)
 
 
 @dataclass
@@ -75,31 +71,31 @@ class MessageLog:
     ``(receiver_ckpt.last_recv, sender_ckpt.last_sent]`` per channel are
     the in-flight messages of Def. 5 and are replayed from here.
 
-    A channel's log is strictly increasing in seq: when its sender rolls
-    back, the log is truncated to the restored counter before the sender
-    re-sends, so ranges are found by bisection.
+    A channel's log is dense: each send is logged with the channel's next
+    seq, and a sender's rollback cuts its log back to the restored counter
+    before it re-sends. So the log is a plain list of records in which
+    index ``seq - 1`` holds message ``seq``.
     """
 
     def __init__(self):
-        self._log: Dict[Channel, List[Tuple[int, Any]]] = {}
+        self._log: Dict[Channel, List[Any]] = {}
 
     def append(self, channel: Channel, seq: int, record: Any) -> None:
         log = self._log.setdefault(channel, [])
-        if log and seq <= log[-1][0]:
-            raise ValueError(f"seq {seq} on {channel} is not above the logged {log[-1][0]}")
-        log.append((seq, record))
+        if seq != len(log) + 1:
+            why = "is not above" if seq <= len(log) else "leaves a gap after"
+            raise ValueError(f"seq {seq} on {channel} {why} the logged {len(log)}")
+        log.append(record)
 
     def truncate(self, channel: Channel, seq: int) -> None:
         """Drop the channel's logged messages above ``seq``."""
-        log = self._log.get(channel)
-        if log:
-            del log[bisect_right(log, seq, key=_seq):]
+        del self._log.get(channel, [])[seq:]
 
     def replay_range(self, channel: Channel, after_seq: int, upto_seq: int) -> List[Tuple[int, Any]]:
         """Logged (seq, record) with after_seq < seq <= upto_seq, in order."""
-        log = self._log.get(channel, [])
-        lo = bisect_right(log, after_seq, key=_seq)
-        return log[lo:bisect_right(log, upto_seq, lo=lo, key=_seq)]
+        log = self._log.get(channel, ())
+        lo, hi = max(after_seq, 0), min(upto_seq, len(log))
+        return list(zip(range(lo + 1, hi + 1), log[lo:hi]))
 
     def total_logged(self) -> int:
         return sum(len(v) for v in self._log.values())

@@ -1,8 +1,8 @@
 """Telemetry collected during a simulation run.
 
 One run produces plain lists (counted checkpoints, COOR rounds) plus
-recovery bookkeeping, aggregate byte counters and the sink latency log of
-``(sink_ts, ingest_ts)`` pairs, one per first arrival of a sink record.
+recovery bookkeeping, aggregate byte counters and the sink latency log:
+``array('d')`` columns ``sink_ts``/``ingest_ts``, one entry per first arrival.
 ``core.harness.metrics_row`` flattens them into one metrics row per run;
 keeping per-message data as counters (not rows) bounds memory at
 50-worker scale. A fact another structure already holds is derived from
@@ -12,6 +12,7 @@ from the marker count.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -35,8 +36,9 @@ class Telemetry:
     checkpoints: List[CheckpointMeta] = field(default_factory=list)
     # COOR rounds: one row per completed round
     rounds: List[dict] = field(default_factory=list)
-    # sink latency samples: (sink_ts, ingest_ts)
-    latencies: List[tuple] = field(default_factory=list)
+    # sink latency log: sink arrival and ingest time of each first arrival
+    sink_ts: array = field(default_factory=lambda: array("d"))
+    ingest_ts: array = field(default_factory=lambda: array("d"))
     # recovery bookkeeping for the (single) injected failure
     recovery: Dict[str, Any] = field(default_factory=dict)
     # counters of workload progress
@@ -45,7 +47,7 @@ class Telemetry:
     @property
     def n_sinked(self) -> int:
         """Records delivered to a sink (first arrivals only)."""
-        return len(self.latencies)
+        return len(self.sink_ts)
 
     @property
     def marker_bytes(self) -> int:

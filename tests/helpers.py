@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import zlib
 from functools import lru_cache
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 import pandas as pd
 
 from repro.core.config import make_protocol
+from repro.core.harness import WARMUP, recovered_threshold
 from repro.dataflow.simulator import Simulation, SimResult
 from repro.dataflow.telemetry import Telemetry
 from repro.nexmark.cyclic import cyclic_events, reachability_graph
@@ -41,6 +43,14 @@ def records_digest(*streams) -> str:
     return f"{zlib.crc32(chr(10).join(lines).encode()):08x}"
 
 
+def query_sim(query: str, protocol: str, w: int = W, rate: float = RATE,
+              duration: float = DURATION, seed: int = 1) -> Simulation:
+    """A small NexMark-query simulation, not yet run."""
+    topics = topics_for_query(query, rate=rate, duration=duration, n_workers=w, seed=seed)
+    proto = make_protocol(protocol, INTERVAL, INTERVAL)
+    return Simulation(QUERIES[query](), w, proto, topics, seed=0)
+
+
 @lru_cache(maxsize=64)
 def run_query(
     query: str,
@@ -52,9 +62,7 @@ def run_query(
     seed: int = 1,
 ) -> SimResult:
     """Run (and cache) a small NexMark-query simulation."""
-    topics = topics_for_query(query, rate=rate, duration=duration, n_workers=w, seed=seed)
-    proto = make_protocol(protocol, INTERVAL, INTERVAL)
-    sim = Simulation(QUERIES[query](), w, proto, topics, seed=0)
+    sim = query_sim(query, protocol, w=w, rate=rate, duration=duration, seed=seed)
     return sim.run(duration, fail_at=fail_at)
 
 
@@ -66,6 +74,18 @@ def cyclic_workload(seed: int = 3, deletions: bool = False, rate: float = 100.0,
     )
 
 
+def cyclic_sim(protocol: str, deletions: bool = False, w: int = W, seed: int = 3,
+               duration: float = 5.0) -> Simulation:
+    """A small cyclic-reachability simulation, not yet run."""
+    links, sources = cyclic_workload(seed=seed, deletions=deletions, duration=duration)
+    topics = {
+        "links": ReplayableLog.from_records("links", list(links), w),
+        "sources": ReplayableLog.from_records("sources", list(sources), w),
+    }
+    proto = make_protocol(protocol, INTERVAL, INTERVAL)
+    return Simulation(reachability_graph(), w, proto, topics, seed=0)
+
+
 @lru_cache(maxsize=32)
 def run_cyclic(
     protocol: str,
@@ -75,14 +95,51 @@ def run_cyclic(
     seed: int = 3,
     duration: float = 5.0,
 ) -> SimResult:
-    links, sources = cyclic_workload(seed=seed, deletions=deletions, duration=duration)
-    topics = {
-        "links": ReplayableLog.from_records("links", list(links), w),
-        "sources": ReplayableLog.from_records("sources", list(sources), w),
-    }
-    proto = make_protocol(protocol, INTERVAL, INTERVAL)
-    sim = Simulation(reachability_graph(), w, proto, topics, seed=0)
+    sim = cyclic_sim(protocol, deletions=deletions, w=w, seed=seed, duration=duration)
     return sim.run(duration, fail_at=fail_at)
+
+
+# -- list-of-pairs references for the latency metrics ------------------------
+# The latency log was a list of ``(sink_ts, ingest_ts)`` tuples; these are
+# the metric computations over that list, kept as differential references
+# for ``core.harness._latency_stats`` and ``core.mst.measure_mst``.
+
+
+def latency_pairs(tel: Telemetry) -> List[Tuple[float, float]]:
+    return list(zip(tel.sink_ts, tel.ingest_ts))
+
+
+def ref_latency_stats(cfg, lat: List[Tuple[float, float]], recovery: Dict) -> Dict[str, float]:
+    def percentile(values, q):
+        return float(np.percentile(values, q)) if values else float("nan")
+
+    t_fail = cfg.fail_at if cfg.fail_at is not None else cfg.duration
+    warm = min(WARMUP, t_fail / 2)
+    pre = [s - i for (s, i) in lat if warm <= s < t_fail]
+    post_start = recovery.get("t_resume", t_fail)
+    post = [s - i for (s, i) in lat if post_start <= s]
+    out = {
+        "p50_pre": percentile(pre, 50),
+        "p99_pre": percentile(pre, 99),
+        "p50_post": percentile(post, 50),
+    }
+    out["recovery_time"] = float("nan")
+    if cfg.fail_at is not None and pre:
+        base = out["p50_pre"]
+        buckets: Dict[int, List[float]] = {}
+        for s, i in lat:
+            if s >= post_start:
+                buckets.setdefault(int(s), []).append(s - i)
+        for sec in sorted(buckets):
+            if np.median(buckets[sec]) <= recovered_threshold(base):
+                out["recovery_time"] = (sec + 1) - cfg.fail_at
+                break
+    return out
+
+
+def ref_t_end(lat: List[Tuple[float, float]], duration: float) -> float:
+    """The MST probe's drain end: the last sink arrival, else the run's end."""
+    return max((s for s, _ in lat), default=duration)
 
 
 # -- pandas frames of a run's checkpoints and rounds ------------------------

@@ -4,6 +4,7 @@ checkpoint-time and latency statistics, each against DuckDB."""
 import math
 
 import duckdb
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -86,8 +87,9 @@ def duckdb_one(sql, params, **tables):
 def _run_with_lat(cfg):
     row, res = run_config(cfg)
     con = duckdb.connect()
-    con.register("lat", pd.DataFrame(res.telemetry.latencies,
-                                      columns=["sink_ts", "ingest_ts"]))
+    tel = res.telemetry
+    con.register("lat", pd.DataFrame({"sink_ts": np.frombuffer(tel.sink_ts),
+                                      "ingest_ts": np.frombuffer(tel.ingest_ts)}))
     return cfg, row, res, con
 
 

@@ -7,7 +7,6 @@ from repro.nexmark.cyclic import (
     EVENT_MIX,
     cyclic_events,
     cyclic_topics,
-    reachability_graph,
     reference_paths,
 )
 
@@ -164,8 +163,6 @@ class TestSimulationCorrectness:
 
     def test_loopback_traffic_exists(self):
         """The feedback edge must actually carry derived sources."""
-        import repro.dataflow.simulator as S
-
         res = run_cyclic("UNC")
         multi_hop = [v for v in res.sink_values().values() if len(v["path"]) > 2]
         assert multi_hop  # at least one recursively derived path

@@ -8,9 +8,14 @@ import pytest
 from helpers import (
     DURATION,
     FAIL_AT,
+    INTERVAL,
     RATE,
     W,
     frame_ckpt_metrics,
+    latency_pairs,
+    query_sim,
+    ref_latency_stats,
+    ref_t_end,
     rounds_frame,
     run_cyclic,
     run_query,
@@ -19,12 +24,18 @@ from repro.core.config import ExperimentConfig, UNC_INTERVALS, build, make_proto
 from repro.core.harness import (
     METRIC_COLUMNS,
     MetricsRow,
+    _latency_stats,
     longest_first,
     metrics_row,
     run_config,
     sweep,
 )
+from repro.core import mst as mst_module
 from repro.core.mst import measure_mst
+from repro.dataflow.kafka_sim import ReplayableLog
+from repro.dataflow.simulator import Simulation
+from repro.nexmark.generator import topics_for_query
+from repro.nexmark.queries import QUERIES
 from repro.protocols import (
     CICProtocol,
     CoordinatedProtocol,
@@ -176,6 +187,80 @@ class TestCheckpointColumnsMatchFrames:
         got, ref, _ = _ckpt_columns("q1", "COOR", duration=1.5)
         _assert_same(got, ref)
         assert got["ckpt_total"] == 0 and math.isnan(got["avg_ckpt_time"])
+
+
+def _probe(query, protocol, workers, sim=None):
+    """``measure_mst`` uncached, and the run it measured. ``sim`` replaces
+    the probe's simulation."""
+    runs = []
+
+    def build_and_keep(cfg):
+        probe = sim or build(cfg)
+        run = probe.run
+
+        def keep(*args, **kwargs):
+            runs.append(run(*args, **kwargs))
+            return runs[-1]
+
+        probe.run = keep
+        return probe
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mst_module, "build", build_and_keep)
+        got = measure_mst.__wrapped__(query, protocol, workers)
+    (res,) = runs
+    return got, res
+
+
+def _ref_mst(res):
+    tel = res.telemetry
+    return tel.n_source_emitted / max(ref_t_end(latency_pairs(tel), res.duration), 1e-9)
+
+
+def _no_sink_sim(protocol):
+    """Q3 without persons: its sources emit, its join never outputs."""
+    topics = topics_for_query("q3", rate=RATE, duration=DURATION, n_workers=W, seed=1)
+    topics["persons"] = ReplayableLog.from_records("persons", [], W)
+    return Simulation(QUERIES["q3"](), W, make_protocol(protocol, INTERVAL, INTERVAL), topics, seed=0)
+
+
+class TestLatencyColumnsMatchPairs:
+    """The latency metrics and the MST, read from the ``sink_ts`` and
+    ``ingest_ts`` columns, equal the list-of-pairs references in
+    ``helpers`` bit for bit."""
+
+    @pytest.mark.parametrize("fail_at", [None, FAIL_AT])
+    @pytest.mark.parametrize("protocol", ["COOR", "UNC", "CIC"])
+    @pytest.mark.parametrize("query", ["q1", "q3", "q8", "q12"])
+    def test_latency_stats(self, query, protocol, fail_at):
+        # long enough after the failure for every cell to recover
+        duration = 25.0
+        res = query_sim(query, protocol, duration=duration).run(duration, fail_at=fail_at)
+        cfg = ExperimentConfig(query=query, protocol=protocol, workers=W, rate=RATE,
+                               duration=duration, fail_at=fail_at)
+        got = _latency_stats(cfg, res)
+        _assert_same(got, ref_latency_stats(cfg, latency_pairs(res.telemetry),
+                                            res.telemetry.recovery))
+        assert not math.isnan(got["p50_pre"]) and not math.isnan(got["p50_post"])
+        assert math.isnan(got["recovery_time"]) == (fail_at is None)
+
+    @pytest.mark.parametrize("protocol", ["COOR", "UNC", "CIC"])
+    @pytest.mark.parametrize("query", ["q1", "q3", "q8", "q12"])
+    def test_mst(self, query, protocol):
+        got, res = _probe(query, protocol, 2)
+        assert res.telemetry.n_sinked > 0
+        assert got == _ref_mst(res)
+
+    def test_no_sink_output(self):
+        res = _no_sink_sim("UNC").run(DURATION, fail_at=FAIL_AT)
+        assert res.telemetry.n_sinked == 0 < res.telemetry.n_source_emitted
+        cfg = ExperimentConfig(query="q3", protocol="UNC", workers=W, rate=RATE,
+                               duration=DURATION, fail_at=FAIL_AT)
+        got = _latency_stats(cfg, res)
+        _assert_same(got, ref_latency_stats(cfg, [], res.telemetry.recovery))
+        assert all(math.isnan(v) for v in got.values())
+        got, res = _probe("q3", "UNC", W, sim=_no_sink_sim("UNC"))
+        assert got == _ref_mst(res) > 0
 
 
 class TestSweep:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import DURATION, FAIL_AT, cyclic_sim, query_sim
 from repro.core.config import make_protocol
 from repro.dataflow.kafka_sim import ReplayableLog
 from repro.dataflow.messages import Record
@@ -177,9 +178,43 @@ class TestMessageLog:
         ml.append(ch, 2, "z")
         assert ml.replay_range(ch, 0, 2) == [(1, "x"), (2, "z")]
 
+    def test_append_rejects_a_gap(self):
+        ml = MessageLog()
+        ch = ("a", 0, "b", 0)
+        with pytest.raises(ValueError, match="gap"):
+            ml.append(ch, 2, "x")  # seq 1 was never logged
+        ml.append(ch, 1, "x")
+        with pytest.raises(ValueError, match="gap"):
+            ml.append(ch, 3, "z")
+        assert ml.replay_range(ch, 0, 10) == [(1, "x")]
+
+
+class TestDenseLog:
+    """A channel's log holds exactly the seqs 1..sent of its lane: at the end
+    of every failure run, rollback included, on every logged channel."""
+
+    @pytest.mark.parametrize("protocol", ["UNC", "CIC"])
+    @pytest.mark.parametrize("query", ["q1", "q3", "q8", "q12", "cyclic"])
+    def test_log_length_is_sent_after_failure(self, query, protocol):
+        if query == "cyclic":
+            sim = cyclic_sim(protocol)
+            res = sim.run(5.0, fail_at=3.0)
+        else:
+            sim = query_sim(query, protocol)
+            res = sim.run(DURATION, fail_at=FAIL_AT)
+        assert res.telemetry.recovery["t_resume"] > 0
+        ml = sim.msg_log
+        logged = set(ml.channels())
+        assert logged >= {ln.ch for ln in sim.lanes.values()
+                          if ln.sent and not ln.to_sink and ln.part is None}
+        for ch in logged:
+            sent = sim.lanes[ch].sent
+            assert [s for s, _ in ml.replay_range(ch, 0, 10**9)] == list(range(1, sent + 1)), ch
+
 
 #: a channel's sends: runs of consecutive seqs (start, length); each run is
-#: a rollback of the sender to ``start`` followed by sends from ``start + 1``
+#: a rollback of the sender to ``start`` (at most the seqs sent so far)
+#: followed by sends from ``start + 1``
 _runs = st.lists(st.tuples(st.integers(0, 20), st.integers(0, 12)), max_size=4)
 
 
@@ -193,6 +228,7 @@ def test_replay_range_matches_linear_filter(channels, after, upto):
         sent = logged.setdefault(ch, [])
         n_appends = 0
         for start, n in runs:
+            start = min(start, len(sent))  # a sender rolls back, never forward
             ml.truncate(ch, start)
             sent[:] = [(s, r) for s, r in sent if s <= start]
             for seq in range(start + 1, start + n + 1):

@@ -1,6 +1,4 @@
 """Unit tests for the wire-level message model."""
-import pytest
-
 from repro.dataflow.messages import (
     CKPT_META_BYTES,
     MARKER_BYTES,

@@ -1,6 +1,4 @@
 """Tests for MST probing, table assembly, and the Table I feature matrix."""
-import math
-
 import pandas as pd
 import pytest
 
@@ -117,6 +115,24 @@ class TestConfigGrids:
         assert list(f.columns) == ["query", "workers", "protocol", "mst", "normalized"]
         assert list(f.protocol) == ["CIC", "COOR"]
         assert list(f.normalized) == [round(50.0 / base, 3), round(100.0 / base, 3)]
+
+    def test_fig7_spark_probes_each_pair_once(self, spark):
+        metrics = pd.DataFrame([
+            dict(query=q, workers=w, protocol=p, mst=m)
+            for q, w in (("q1", 2), ("q12", 2), ("q1", 3))
+            for p, m in (("CIC", 50.0), ("COOR", 100.0))
+        ])
+        sc = spark.sparkContext
+        sc.setJobGroup("test-fig7", "one task per (query, workers)")
+        try:
+            f = fig7_frame(metrics, spark)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        status = sc.statusTracker()
+        (job,) = status.getJobIdsForGroup("test-fig7")
+        (stage,) = status.getJobInfo(job).stageIds
+        assert status.getStageInfo(stage).numTasks == 3
+        pd.testing.assert_frame_equal(f, fig7_frame(metrics), check_exact=True)
 
     def test_table4_frame_formatting(self):
         metrics = pd.DataFrame(

@@ -1,6 +1,5 @@
 """Sanity tests for the DuckDB oracle (and that it works against this
 environment's Spark/DuckDB versions)."""
-import duckdb
 import pandas as pd
 import pytest
 

@@ -1,6 +1,4 @@
 """Tests for the uncoordinated protocol (paper §III-B)."""
-import pytest
-
 from helpers import run_query
 from repro.dataflow.simulator import Simulation
 from repro.nexmark.generator import topics_for_query

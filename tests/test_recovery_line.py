@@ -3,7 +3,6 @@
 from itertools import product
 from typing import Dict, List
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +10,6 @@ from repro.dataflow.state import CheckpointMeta, CheckpointStore, StoredCheckpoi
 from repro.protocols.recovery import (
     build_checkpoint_graph,
     find_recovery_line,
-    rollback_propagation,
 )
 
 
