@@ -52,16 +52,16 @@ class Edge:
 class OperatorSpec:
     """A logical operator.
 
-    ``stateful`` drives which operators take checkpoints under UNC/CIC
-    (paper §III-B: stateless non-source operators need not participate);
-    under COOR every operator participates in marker alignment.
     ``factory()`` builds the behaviour object of one instance (see
-    :mod:`repro.dataflow.operators`); sources get a bare ``Operator``.
+    :mod:`repro.dataflow.operators`); sources get a bare ``Operator``. An
+    operator is stateful when its instances are ``KeyedOp``s: those take
+    the checkpoints UNC/CIC count (paper §III-B: stateless non-source
+    operators need not participate); under COOR every operator
+    participates in marker alignment.
     """
 
     name: str
     kind: str  #: "source" | "sink" | operator type tag
-    stateful: bool
     factory: Callable[[], Any] = None
     source_topic: Optional[str] = None  #: kafka_sim topic for sources
 

@@ -19,37 +19,25 @@ Design rules that make exactly-once verifiable:
   equals the failure-free state.
 - **Snapshot = copy-on-write** — asynchronous checkpointing is modelled
   by a snapshot that shares state with the live operator; cost is modelled
-  separately from bytes. State is a table of *slots* (``key -> dict|set``;
-  the window operators keep one table per window and side). A snapshot
-  copies only the table, so it shares every slot with live state, and
-  becomes the operator's *base*. The first write to a slot that is still
-  the base's (:func:`_own`) replaces it by a private copy under the same
-  key, so insertion order is kept at both levels and copy cost follows the
-  slots written since the snapshot. ``restore`` shares the same way and
-  makes the restored snapshot the base, so a stored checkpoint stays intact
-  however the live state changes later. The leaves (uid strings, path
-  tuples, record-value dicts) are shared as well, so **a record value held
-  in state is never mutated** by any operator.
+  separately from bytes. Every stateful operator is a :class:`KeyedOp`,
+  whose state is tables of *slots* (``key -> dict|set``), one table per
+  window and part. A snapshot copies only the tables, so it shares every
+  slot with live state, and becomes the operator's *base*. The first write
+  to a slot that is still the base's (:meth:`KeyedOp._own`) replaces it by
+  a private copy under the same key, so insertion order is kept at both
+  levels and copy cost follows the slots written since the snapshot.
+  ``restore`` shares the same way and makes the restored snapshot the
+  base, so a stored checkpoint stays intact however the live state changes
+  later. The leaves (uid strings, path tuples, record-value dicts) are
+  shared as well, so **a record value held in state is never mutated** by
+  any operator.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+import math
+from typing import Any, Dict, List, Optional, Tuple
 
 from .messages import Record
-
-
-def _own(table: Dict[Any, Any], base: Dict[Any, Any], key: Any) -> Any:
-    """The slot ``table[key]``, safe to write: a slot that ``base`` (the
-    table of the last snapshot or restore) still shares is first replaced
-    by a private copy under the same key."""
-    slot = table[key]
-    if base.get(key) is slot:
-        table[key] = slot = slot.copy()
-    return slot
-
-
-#: the base of a window created after the last snapshot: no slot is shared
-_NO_BASE: Tuple[Dict, Dict] = ({}, {})
 
 
 class Operator:
@@ -106,152 +94,121 @@ class FilterOp(Operator):
         return [record] if self.pred(record.value) else []
 
 
-class IncrementalJoinOp(Operator):
-    """Stateful incremental hash join (NexMark Q3, §VI: "incremental
-    stateful join" of persons with auctions).
-
-    Both sides are retained forever; a joined pair is emitted exactly once,
-    when the later of its two inputs arrives. Pair uids are content-based.
-    """
-
-    def __init__(
-        self,
-        left_op: str,
-        right_op: str,
-        emit,  #: (left_value, right_value) -> (uid, key, value) of the pair
-        out_kind: str,
-    ):
-        self.left_op = left_op
-        self.right_op = right_op
-        self.emit = emit
-        self.out_kind = out_kind
-        # key -> {uid: value}; keyed inserts are idempotent.
-        self.left: Dict[Any, Dict[str, Any]] = {}
-        self.right: Dict[Any, Dict[str, Any]] = {}
-        self._base: Tuple[Dict, Dict] = _NO_BASE  #: (left, right) last shared
-
-    def process(self, record: Record, from_op: str) -> List[Record]:
-        tables = (self.left, self.right)
-        side = int(from_op != self.left_op)  # 0: left, 1: right
-        mine, other = tables[side], tables[1 - side]
-        if record.uid in mine.setdefault(record.key, {}):  # replayed duplicate
-            return []
-        _own(mine, self._base[side], record.key)[record.uid] = record.value
-        out: List[Record] = []
-        for ov in other.get(record.key, {}).values():
-            lv, rv = (record.value, ov) if from_op == self.left_op else (ov, record.value)
-            uid, key, value = self.emit(lv, rv)
-            out.append(
-                Record(uid=uid, key=key, value=value, ingest_ts=record.ingest_ts, kind=self.out_kind)
-            )
-        return out
-
-    def snapshot(self) -> Any:
-        self._base = (dict(self.left), dict(self.right))
-        return self._base
-
-    def restore(self, snap: Any) -> None:
-        self.left, self.right = dict(snap[0]), dict(snap[1])
-        self._base = snap
-
-    def state_bytes(self) -> int:
-        n = sum(len(v) for v in self.left.values()) + sum(len(v) for v in self.right.values())
-        return 64 * n
-
-    def state_fingerprint(self) -> Any:
-        canon = lambda side: tuple(
-            sorted((k, tuple(sorted(v.keys()))) for k, v in side.items() if v)
-        )
-        return (canon(self.left), canon(self.right))
+def _canon(table: Dict[Any, Any]) -> Tuple:
+    """A table's slots as a sorted tuple of (key, sorted members), empty
+    slots left out: the order-independent view fingerprints compare."""
+    return tuple(sorted((k, tuple(sorted(slot))) for k, slot in table.items() if slot))
 
 
-class WindowJoinOp(Operator):
-    """Running tumbling-window join (NexMark Q8).
+class KeyedOp(Operator):
+    """Base of the stateful operators: keyed state, windows and
+    copy-on-write snapshots. The simulator snapshots, restores and
+    fingerprints exactly the instances of this class, and UNC/CIC count
+    only their checkpoints (besides the sources').
 
-    Windows are keyed on the record's event/ingest timestamp, which is part
-    of the generated data — hence deterministic across replay (DESIGN.md §4).
-    Processing is triggered on record arrival ("running window", §VI) and
-    windows are evicted once the watermark (max seen window) has moved two
-    windows past them.
+    State is ``tables``: ``{(window, part): {key: slot}}``, where a slot is
+    a dict or set and ``part`` tells apart the tables of one window (a
+    join's two sides). With a finite ``window``, a record's window is
+    ``ingest_ts // window``; the first record of a new window moves the
+    watermark ``max_window`` and evicts the windows ``EVICT_HORIZON``
+    behind it, and a record for an evicted window is dropped as late. An
+    unbounded window puts every record in window 0, so nothing is evicted.
+    A snapshot is ``(tables, max_window)``.
     """
 
     EVICT_HORIZON = 2
+    ENTRY_BYTES = 64  #: modelled state bytes per stored entry
 
-    def __init__(
-        self,
-        left_op: str,
-        right_op: str,
-        window: float,
-        emit,
-        out_kind: str,
-    ):
-        self.left_op = left_op
-        self.right_op = right_op
+    def __init__(self, window: float = math.inf):
         self.window = window
-        self.emit = emit
-        self.out_kind = out_kind
-        # window_id -> side -> key -> {uid: value}
-        self.windows: Dict[int, Tuple[Dict, Dict]] = {}
+        self.tables: Dict[Tuple[int, int], Dict[Any, Any]] = {}
         self.max_window = -1
-        self._base: Dict[int, Tuple[Dict, Dict]] = {}  #: windows last shared
+        self._base: Dict[Tuple[int, int], Dict[Any, Any]] = {}  #: tables last shared
 
-    def _win(self, ts: float) -> int:
-        return int(ts // self.window)
+    def _own(self, tid: Tuple[int, int], key: Any) -> Any:
+        """The slot ``tables[tid][key]``, safe to write: a slot the base
+        still shares is first replaced by a private copy."""
+        table = self.tables[tid]
+        slot = table[key]
+        base = self._base.get(tid)
+        if base is not None and base.get(key) is slot:
+            table[key] = slot = slot.copy()
+        return slot
 
-    def process(self, record: Record, from_op: str) -> List[Record]:
-        w = self._win(record.ingest_ts)
-        if w <= self.max_window - self.EVICT_HORIZON:
-            return []  # record for an already-evicted window (late)
+    def _window_of(self, ts: float) -> Optional[int]:
+        """The window of a record at ``ts``, or None if that window is
+        already evicted (a late record)."""
+        w = int(ts // self.window)
         if w > self.max_window:
             self.max_window = w
-            for old in [k for k in self.windows if k <= w - self.EVICT_HORIZON]:
-                del self.windows[old]
-        tables = self.windows.setdefault(w, ({}, {}))
-        side = int(from_op != self.left_op)  # 0: left, 1: right
-        mine, other = tables[side], tables[1 - side]
-        if record.uid in mine.setdefault(record.key, {}):
+            for tid in [t for t in self.tables if t[0] <= w - self.EVICT_HORIZON]:
+                del self.tables[tid]
+        elif w <= self.max_window - self.EVICT_HORIZON:
+            return None
+        return w
+
+    def snapshot(self) -> Any:
+        self._base = {tid: dict(t) for tid, t in self.tables.items()}
+        return (self._base, self.max_window)
+
+    def restore(self, snap: Any) -> None:
+        self.tables = {tid: dict(t) for tid, t in snap[0].items()}
+        self.max_window = snap[1]
+        self._base = snap[0]
+
+    def state_bytes(self) -> int:
+        return self.ENTRY_BYTES * sum(
+            len(slot) for t in self.tables.values() for slot in t.values()
+        )
+
+
+class JoinOp(KeyedOp):
+    """Stateful incremental hash join: NexMark Q3's "incremental stateful
+    join" of persons with auctions (unbounded window, §VI) and Q8's running
+    tumbling-window join.
+
+    Part 0 of a window holds the left side, part 1 the right, each
+    ``key -> {uid: value}`` (keyed inserts are idempotent). A joined pair is
+    emitted exactly once, when the later of its two inputs arrives, as
+    ``emit(left_value, right_value, window)``; pair uids are content-based.
+    Windows are keyed on the record's ingest timestamp, which is part of the
+    generated data, hence deterministic across replay (DESIGN.md §4).
+    """
+
+    def __init__(self, left_op: str, right_op: str, emit, out_kind: str,
+                 window: float = math.inf):
+        super().__init__(window)
+        self.left_op = left_op
+        self.right_op = right_op
+        self.emit = emit  #: (left, right, window) -> (uid, key, value) of the pair
+        self.out_kind = out_kind
+
+    def process(self, record: Record, from_op: str) -> List[Record]:
+        w = self._window_of(record.ingest_ts)
+        if w is None:
             return []
-        _own(mine, self._base.get(w, _NO_BASE)[side], record.key)[record.uid] = record.value
+        side = int(from_op != self.left_op)  # 0: left, 1: right
+        tid = (w, side)
+        if record.uid in self.tables.setdefault(tid, {}).setdefault(record.key, {}):
+            return []  # replayed duplicate
+        self._own(tid, record.key)[record.uid] = record.value
         out: List[Record] = []
-        for ov in other.get(record.key, {}).values():
-            lv, rv = (record.value, ov) if from_op == self.left_op else (ov, record.value)
+        for ov in self.tables.get((w, 1 - side), {}).get(record.key, {}).values():
+            lv, rv = (ov, record.value) if side else (record.value, ov)
             uid, key, value = self.emit(lv, rv, w)
             out.append(
                 Record(uid=uid, key=key, value=value, ingest_ts=record.ingest_ts, kind=self.out_kind)
             )
         return out
 
-    @staticmethod
-    def _share(windows: Dict[int, Tuple[Dict, Dict]]) -> Dict[int, Tuple[Dict, Dict]]:
-        return {w: (dict(l), dict(r)) for w, (l, r) in windows.items()}
-
-    def snapshot(self) -> Any:
-        self._base = self._share(self.windows)
-        return (self._base, self.max_window)
-
-    def restore(self, snap: Any) -> None:
-        self.windows = self._share(snap[0])
-        self.max_window = snap[1]
-        self._base = snap[0]
-
-    def state_bytes(self) -> int:
-        n = 0
-        for left, right in self.windows.values():
-            n += sum(len(v) for v in left.values()) + sum(len(v) for v in right.values())
-        return 64 * n
-
     def state_fingerprint(self) -> Any:
-        out = []
-        for w in sorted(self.windows):
-            left, right = self.windows[w]
-            canon = lambda side: tuple(
-                sorted((k, tuple(sorted(v.keys()))) for k, v in side.items() if v)
-            )
-            out.append((w, canon(left), canon(right)))
-        return tuple(out)
+        sides = lambda w: (_canon(self.tables.get((w, 0), {})), _canon(self.tables.get((w, 1), {})))
+        if self.window == math.inf:
+            return sides(0)
+        return tuple((w, *sides(w)) for w in sorted({w for w, _ in self.tables}))
 
 
-class WindowCountOp(Operator):
+class WindowCountOp(KeyedOp):
     """Running tumbling-window count per key (NexMark Q12: bids per bidder).
 
     The state is the *set* of contributing record uids per (key, window) so
@@ -260,27 +217,19 @@ class WindowCountOp(Operator):
     batch ``COUNT(*)`` — that is what the oracle checks.
     """
 
-    EVICT_HORIZON = 2
+    ENTRY_BYTES = 40
 
     def __init__(self, window: float, out_kind: str):
-        self.window = window
+        super().__init__(window)
         self.out_kind = out_kind
-        self.counts: Dict[int, Dict[Any, set]] = {}  # window -> key -> {uids}
-        self.max_window = -1
-        self._base: Dict[int, Dict[Any, set]] = {}  #: counts last shared
 
     def process(self, record: Record, from_op: str) -> List[Record]:
-        w = int(record.ingest_ts // self.window)
-        if w <= self.max_window - self.EVICT_HORIZON:
+        w = self._window_of(record.ingest_ts)
+        if w is None:
             return []
-        if w > self.max_window:
-            self.max_window = w
-            for old in [k for k in self.counts if k <= w - self.EVICT_HORIZON]:
-                del self.counts[old]
-        table = self.counts.setdefault(w, {})
-        if record.uid in table.setdefault(record.key, set()):
+        if record.uid in self.tables.setdefault((w, 0), {}).setdefault(record.key, set()):
             return []
-        slot = _own(table, self._base.get(w, _NO_BASE[0]), record.key)
+        slot = self._own((w, 0), record.key)
         slot.add(record.uid)
         count = len(slot)
         return [
@@ -293,25 +242,9 @@ class WindowCountOp(Operator):
             )
         ]
 
-    def snapshot(self) -> Any:
-        self._base = {w: dict(km) for w, km in self.counts.items()}
-        return (self._base, self.max_window)
-
-    def restore(self, snap: Any) -> None:
-        self.counts = {w: dict(km) for w, km in snap[0].items()}
-        self.max_window = snap[1]
-        self._base = snap[0]
-
-    def state_bytes(self) -> int:
-        return 40 * sum(len(s) for km in self.counts.values() for s in km.values())
-
     def state_fingerprint(self) -> Any:
         return tuple(
-            sorted(
-                (w, k, tuple(sorted(uids)))
-                for w, km in self.counts.items()
-                for k, uids in km.items()
-            )
+            (w, *entry) for w, _ in sorted(self.tables) for entry in _canon(self.tables[w, 0])
         )
 
 
@@ -319,28 +252,28 @@ class WindowCountOp(Operator):
 # Cyclic reachability query operators (paper §VI, Fig. 6; adapted from FFP).
 # ---------------------------------------------------------------------------
 
+_LINKS, _SOURCES = (0, 0), (0, 1)  #: CyclicJoinOp's two tables
 
-class CyclicJoinOp(Operator):
+
+class CyclicJoinOp(KeyedOp):
     """The reachability query's stateful join.
 
-    State: directed links keyed by their start node, and discovered sources
-    keyed by their reachable (path-end) node. Link events join with sources
-    whose path ends at the link's start node; source events join with links
-    starting at their reachable node. Delete events remove state (paper:
-    "it will remove every link or source affected from its state"); an
-    index from source id to its entries, rebuilt on restore and never
-    snapshotted, makes a source delete cost its own entries only. Slots a
-    delete empties stay in place.
+    State: directed links keyed by their start node (table ``(0, 0)``), and
+    discovered sources keyed by their reachable (path-end) node (table
+    ``(0, 1)``). Link events join with sources whose path ends at the
+    link's start node; source events join with links starting at their
+    reachable node. Delete events remove state (paper: "it will remove
+    every link or source affected from its state"); an index from source id
+    to its entries, rebuilt on restore and never snapshotted, makes a
+    source delete cost its own entries only. Slots a delete empties stay in
+    place.
     """
 
-    def __init__(self, link_op: str, source_op: str, loop_op: str):
+    def __init__(self, link_op: str):
+        super().__init__()
         self.link_op = link_op
-        self.source_op = source_op
-        self.loop_op = loop_op
-        self.links: Dict[Any, Dict[Tuple, None]] = {}  # start -> {(u, v): None}
-        self.sources: Dict[Any, Dict[Tuple, None]] = {}  # end-node -> {(src, path): None}
+        self.tables = {_LINKS: {}, _SOURCES: {}}  # {(u, v): None}, {(src, path): None}
         self._by_src: Dict[Any, Dict[Tuple, None]] = {}  # src -> {(src, path): None}
-        self._base: Tuple[Dict, Dict] = _NO_BASE  #: (links, sources) last shared
 
     @staticmethod
     def _pair_record(src_tuple: Tuple, link: Tuple, ingest_ts: float) -> Record:
@@ -357,57 +290,50 @@ class CyclicJoinOp(Operator):
 
     def process(self, record: Record, from_op: str) -> List[Record]:
         v = record.value
+        links, sources = self.tables[_LINKS], self.tables[_SOURCES]
         out: List[Record] = []
         if from_op == self.link_op:
             link = (v["u"], v["v"])
             if v["op"] == "del_link":
-                if link in self.links.get(v["u"], ()):
-                    del _own(self.links, self._base[0], v["u"])[link]
+                if link in links.get(v["u"], ()):
+                    del self._own(_LINKS, v["u"])[link]
                 return []
-            if link in self.links.setdefault(v["u"], {}):
+            if link in links.setdefault(v["u"], {}):
                 return []
-            _own(self.links, self._base[0], v["u"])[link] = None
-            for st in self.sources.get(v["u"], {}):
+            self._own(_LINKS, v["u"])[link] = None
+            for st in sources.get(v["u"], {}):
                 out.append(self._pair_record(st, link, record.ingest_ts))
         else:  # source events: fresh sources, recursive sources, or deletes
             if v["op"] == "del_source":
                 for st in self._by_src.pop(v["s"], ()):
-                    del _own(self.sources, self._base[1], st[1][-1])[st]
+                    del self._own(_SOURCES, st[1][-1])[st]
                 return []
             st = (v["s"], tuple(v["path"]))
             end = st[1][-1]
-            if st in self.sources.setdefault(end, {}):
+            if st in sources.setdefault(end, {}):
                 return []
-            _own(self.sources, self._base[1], end)[st] = None
+            self._own(_SOURCES, end)[st] = None
             self._by_src.setdefault(st[0], {})[st] = None
-            for link in self.links.get(end, {}):
+            for link in links.get(end, {}):
                 out.append(self._pair_record(st, link, record.ingest_ts))
         return out
 
-    def snapshot(self) -> Any:
-        self._base = (dict(self.links), dict(self.sources))
-        return self._base
-
     def restore(self, snap: Any) -> None:
-        self.links, self.sources = dict(snap[0]), dict(snap[1])
-        self._base = snap
+        super().restore(snap)
         self._by_src = {}
-        for slot in self.sources.values():
+        for slot in self.tables[_SOURCES].values():
             for st in slot:
                 self._by_src.setdefault(st[0], {})[st] = None
 
     def state_bytes(self) -> int:
-        n_links = sum(len(v) for v in self.links.values())
+        n_links = sum(len(v) for v in self.tables[_LINKS].values())
         n_src = sum(
-            len(path) * 4 + 16 for slot in self.sources.values() for (_, path) in slot
+            len(path) * 4 + 16 for slot in self.tables[_SOURCES].values() for (_, path) in slot
         )
         return 24 * n_links + n_src
 
     def state_fingerprint(self) -> Any:
-        return (
-            tuple(sorted((k, tuple(sorted(v))) for k, v in self.links.items() if v)),
-            tuple(sorted((k, tuple(sorted(v))) for k, v in self.sources.items() if v)),
-        )
+        return (_canon(self.tables[_LINKS]), _canon(self.tables[_SOURCES]))
 
 
 class CyclicSelectOp(Operator):

@@ -93,6 +93,7 @@ import numpy as np
 from .costs import SimCost
 from .graph import LogicalGraph
 from .kafka_sim import ReplayableLog
+from .operators import KeyedOp
 from .messages import (
     MARKER_BYTES,
     Channel,
@@ -428,7 +429,7 @@ class Simulation:
     ) -> CheckpointMeta:
         spec = self.graph.ops[inst[0]]
         op = self.instances[inst]
-        state = op.snapshot() if spec.stateful else None
+        state = op.snapshot() if isinstance(op, KeyedOp) else None
         sb = op.state_bytes()
         meta = CheckpointMeta(
             instance=inst,
@@ -505,10 +506,10 @@ class Simulation:
     def _resume(self, plan, t: float) -> None:
         for inst, idx in plan.line.items():
             cp = self.store.get(inst, idx)
-            spec = self.graph.ops[inst[0]]
-            if spec.stateful:
-                self.instances[inst].restore(cp.state)
-            if spec.is_source:
+            op = self.instances[inst]
+            if isinstance(op, KeyedOp):
+                op.restore(cp.state)
+            if self.graph.ops[inst[0]].is_source:
                 self.source_lanes[inst].recv = cp.meta.source_offset
             for ch, s in cp.meta.last_sent.items():
                 self.lanes[ch].sent = s
@@ -558,7 +559,7 @@ class Simulation:
             fingerprints = {
                 inst: op.state_fingerprint()
                 for inst, op in self.instances.items()
-                if self.graph.ops[inst[0]].stateful
+                if isinstance(op, KeyedOp)
             }
             return SimResult(
                 telemetry=self.telemetry,

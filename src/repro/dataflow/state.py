@@ -50,7 +50,10 @@ class CheckpointStore:
 
     def put(self, cp: StoredCheckpoint) -> None:
         lst = self._by_instance.setdefault(cp.meta.instance, [])
-        assert cp.meta.index == len(lst), "checkpoint indices must be dense"
+        if cp.meta.index != len(lst):
+            raise ValueError(
+                f"checkpoint index {cp.meta.index} of {cp.meta.instance} is not the next {len(lst)}"
+            )
         lst.append(cp)
 
     def checkpoints(self, inst: InstanceId) -> List[StoredCheckpoint]:

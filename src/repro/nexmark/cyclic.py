@@ -43,25 +43,12 @@ EVENT_MIX = {"add_link": 0.60, "add_source": 0.15, "del_link": 0.20, "del_source
 def reachability_graph() -> LogicalGraph:
     """Build the cyclic query's dataflow graph (Fig. 6)."""
     g = LogicalGraph()
-    g.add_op(OperatorSpec("src_links", "source", stateful=False, factory=Operator,
-                          source_topic="links"))
-    g.add_op(OperatorSpec("src_sources", "source", stateful=False, factory=Operator,
-                          source_topic="sources"))
-    g.add_op(
-        OperatorSpec(
-            "cjoin",
-            "join",
-            stateful=True,
-            factory=lambda: CyclicJoinOp(
-                link_op="src_links", source_op="src_sources", loop_op="project"
-            ),
-        )
-    )
-    g.add_op(OperatorSpec("select", "select", stateful=False,
-                          factory=CyclicSelectOp))
-    g.add_op(OperatorSpec("project", "project", stateful=False,
-                          factory=CyclicProjectOp))
-    g.add_op(OperatorSpec("sink", "sink", stateful=False))
+    g.add_op(OperatorSpec("src_links", "source", factory=Operator, source_topic="links"))
+    g.add_op(OperatorSpec("src_sources", "source", factory=Operator, source_topic="sources"))
+    g.add_op(OperatorSpec("cjoin", "join", factory=lambda: CyclicJoinOp(link_op="src_links")))
+    g.add_op(OperatorSpec("select", "select", factory=CyclicSelectOp))
+    g.add_op(OperatorSpec("project", "project", factory=CyclicProjectOp))
+    g.add_op(OperatorSpec("sink", "sink"))
     g.add_edge(Edge("src_links", "cjoin", routing="hash", key_fn=lambda r: r.value["u"]))
     g.add_edge(Edge("src_sources", "cjoin", routing="hash",
                     key_fn=lambda r: r.value["path"][-1] if r.value["op"] == "source" else r.value["s"],

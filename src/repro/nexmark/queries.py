@@ -13,14 +13,7 @@ the paper's checkpoint-total accounting (DESIGN.md §3).
 from __future__ import annotations
 
 from repro.dataflow.graph import Edge, LogicalGraph, OperatorSpec
-from repro.dataflow.operators import (
-    FilterOp,
-    IncrementalJoinOp,
-    MapOp,
-    Operator,
-    WindowCountOp,
-    WindowJoinOp,
-)
+from repro.dataflow.operators import FilterOp, JoinOp, MapOp, Operator, WindowCountOp
 from .generator import Q3_CATEGORY, Q3_STATES
 
 EUR_RATE = 0.908  #: NexMark Q1 dollar->euro conversion factor
@@ -30,13 +23,11 @@ WINDOW_SECONDS = 10.0  #: tumbling window for Q8/Q12
 def q1() -> LogicalGraph:
     """Q1: bids -> map(price * 0.908) -> sink; forward routing only."""
     g = LogicalGraph()
-    g.add_op(OperatorSpec("src_bids", "source", stateful=False, factory=Operator,
-                          source_topic="bids"))
+    g.add_op(OperatorSpec("src_bids", "source", factory=Operator, source_topic="bids"))
     g.add_op(
         OperatorSpec(
             "map",
             "map",
-            stateful=False,
             factory=lambda: MapOp(
                 fn=lambda v: {
                     "auction": v["auction"],
@@ -47,19 +38,19 @@ def q1() -> LogicalGraph:
             ),
         )
     )
-    g.add_op(OperatorSpec("sink", "sink", stateful=False))
+    g.add_op(OperatorSpec("sink", "sink"))
     g.add_edge(Edge("src_bids", "map", routing="forward"))
     g.add_edge(Edge("map", "sink", routing="forward"))
     return g.validate()
 
 
-def _q3_emit(p, a):
+def _q3_emit(p, a, w):
     uid = f"q3:{p['id']}:{a['id']}"
     value = {"name": p["name"], "city": p["city"], "state": p["state"], "auction": a["id"]}
     return uid, p["id"], value
 
 
-class _Q3Join(IncrementalJoinOp):
+class _Q3Join(JoinOp):
     """Q3 join that also applies the auction-category predicate before
     storing the right side (keeps the topology at 4 logical operators)."""
 
@@ -72,15 +63,12 @@ class _Q3Join(IncrementalJoinOp):
 def q3() -> LogicalGraph:
     """Q3: persons -> filter(state) -> join <- auctions(category); shuffles."""
     g = LogicalGraph()
-    g.add_op(OperatorSpec("src_persons", "source", stateful=False, factory=Operator,
-                          source_topic="persons"))
-    g.add_op(OperatorSpec("src_auctions", "source", stateful=False, factory=Operator,
-                          source_topic="auctions"))
+    g.add_op(OperatorSpec("src_persons", "source", factory=Operator, source_topic="persons"))
+    g.add_op(OperatorSpec("src_auctions", "source", factory=Operator, source_topic="auctions"))
     g.add_op(
         OperatorSpec(
             "filter_p",
             "filter",
-            stateful=False,
             factory=lambda: FilterOp(pred=lambda v: v["state"] in Q3_STATES),
         )
     )
@@ -88,14 +76,13 @@ def q3() -> LogicalGraph:
         OperatorSpec(
             "join",
             "join",
-            stateful=True,
             factory=lambda: _Q3Join(
                 left_op="filter_p", right_op="src_auctions",
                 emit=_q3_emit, out_kind="q3_out",
             ),
         )
     )
-    g.add_op(OperatorSpec("sink", "sink", stateful=False))
+    g.add_op(OperatorSpec("sink", "sink"))
     g.add_edge(Edge("src_persons", "filter_p", routing="forward"))
     g.add_edge(Edge("filter_p", "join", routing="hash", key_fn=lambda r: r.value["id"]))
     g.add_edge(Edge("src_auctions", "join", routing="hash", key_fn=lambda r: r.value["seller"]))
@@ -112,25 +99,22 @@ def _q8_emit(p, a, w):
 def q8() -> LogicalGraph:
     """Q8: tumbling-window join persons x auctions on seller."""
     g = LogicalGraph()
-    g.add_op(OperatorSpec("src_persons", "source", stateful=False, factory=Operator,
-                          source_topic="persons"))
-    g.add_op(OperatorSpec("src_auctions", "source", stateful=False, factory=Operator,
-                          source_topic="auctions"))
+    g.add_op(OperatorSpec("src_persons", "source", factory=Operator, source_topic="persons"))
+    g.add_op(OperatorSpec("src_auctions", "source", factory=Operator, source_topic="auctions"))
     g.add_op(
         OperatorSpec(
             "winjoin",
             "window_join",
-            stateful=True,
-            factory=lambda: WindowJoinOp(
+            factory=lambda: JoinOp(
                 left_op="src_persons",
                 right_op="src_auctions",
-                window=WINDOW_SECONDS,
                 emit=_q8_emit,
                 out_kind="q8_out",
+                window=WINDOW_SECONDS,
             ),
         )
     )
-    g.add_op(OperatorSpec("sink", "sink", stateful=False))
+    g.add_op(OperatorSpec("sink", "sink"))
     g.add_edge(Edge("src_persons", "winjoin", routing="hash", key_fn=lambda r: r.value["id"]))
     g.add_edge(Edge("src_auctions", "winjoin", routing="hash", key_fn=lambda r: r.value["seller"]))
     g.add_edge(Edge("winjoin", "sink", routing="forward"))
@@ -140,17 +124,15 @@ def q8() -> LogicalGraph:
 def q12() -> LogicalGraph:
     """Q12: tumbling-window bid count per bidder."""
     g = LogicalGraph()
-    g.add_op(OperatorSpec("src_bids", "source", stateful=False, factory=Operator,
-                          source_topic="bids"))
+    g.add_op(OperatorSpec("src_bids", "source", factory=Operator, source_topic="bids"))
     g.add_op(
         OperatorSpec(
             "wincount",
             "window_count",
-            stateful=True,
             factory=lambda: WindowCountOp(window=WINDOW_SECONDS, out_kind="q12_out"),
         )
     )
-    g.add_op(OperatorSpec("sink", "sink", stateful=False))
+    g.add_op(OperatorSpec("sink", "sink"))
     g.add_edge(Edge("src_bids", "wincount", routing="hash", key_fn=lambda r: r.value["bidder"]))
     g.add_edge(Edge("wincount", "sink", routing="forward"))
     return g.validate()

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
 from repro.dataflow.messages import Channel, InstanceId, Message
+from repro.dataflow.operators import KeyedOp
 
 
 @dataclass
@@ -104,12 +105,13 @@ class Protocol:
     def counts_in_totals(self, inst: InstanceId) -> bool:
         """Whether a checkpoint of this instance counts in Table III totals.
 
-        UNC/CIC report only source/stateful snapshots (stateless operators
-        keep cheap counter-only checkpoints that the paper does not count);
-        COOR counts every aligned participant.
+        UNC/CIC report only source/stateful (``KeyedOp``) snapshots
+        (stateless operators keep cheap counter-only checkpoints that the
+        paper does not count); COOR counts every aligned participant.
         """
-        spec = self.sim.graph.ops[inst[0]]
-        return spec.is_source or spec.stateful
+        return self.sim.graph.ops[inst[0]].is_source or isinstance(
+            self.sim.instances[inst], KeyedOp
+        )
 
 
 class NoneProtocol(Protocol):

@@ -2,6 +2,8 @@
 import pytest
 
 from repro.dataflow.costs import SimCost
+from repro.nexmark.cyclic import reachability_graph
+from repro.nexmark.queries import QUERIES
 
 
 class TestSimCost:
@@ -25,6 +27,12 @@ class TestSimCost:
 
     def test_unknown_op_falls_back(self):
         assert SimCost().op_service("nope") > 0
+
+    @pytest.mark.parametrize("gname", [*QUERIES, "cyclic"])
+    def test_every_operator_kind_has_a_service_time(self, gname):
+        # a misspelt kind would silently take the fallback
+        graph = reachability_graph() if gname == "cyclic" else QUERIES[gname]()
+        assert {spec.kind for spec in graph.ops.values()} <= SimCost().service.keys()
 
     def test_snapshot_time_grows_with_state(self):
         c = SimCost()

@@ -6,7 +6,7 @@ from repro.dataflow.graph import Edge, LogicalGraph, OperatorSpec
 from repro.dataflow.messages import Record, stable_hash
 from repro.dataflow.operators import Operator
 from repro.dataflow.simulator import Simulation
-from repro.nexmark.cyclic import reachability_graph
+from repro.nexmark.cyclic import cyclic_topics, reachability_graph
 from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
 
@@ -17,9 +17,9 @@ def _rec(key=7, value=None):
 
 def chain() -> LogicalGraph:
     g = LogicalGraph()
-    g.add_op(OperatorSpec("src", "source", stateful=False, factory=Operator, source_topic="t"))
-    g.add_op(OperatorSpec("map", "map", stateful=False, factory=Operator))
-    g.add_op(OperatorSpec("sink", "sink", stateful=False))
+    g.add_op(OperatorSpec("src", "source", factory=Operator, source_topic="t"))
+    g.add_op(OperatorSpec("map", "map", factory=Operator))
+    g.add_op(OperatorSpec("sink", "sink"))
     g.add_edge(Edge("src", "map", routing="forward"))
     g.add_edge(Edge("map", "sink", routing="forward"))
     return g
@@ -32,7 +32,7 @@ class TestValidation:
     def test_duplicate_op_rejected(self):
         g = chain()
         with pytest.raises(ValueError, match="duplicate"):
-            g.add_op(OperatorSpec("map", "map", stateful=False, factory=Operator))
+            g.add_op(OperatorSpec("map", "map", factory=Operator))
 
     def test_edge_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown operator"):
@@ -44,28 +44,28 @@ class TestValidation:
 
     def test_no_source_rejected(self):
         g = LogicalGraph()
-        g.add_op(OperatorSpec("sink", "sink", stateful=False))
+        g.add_op(OperatorSpec("sink", "sink"))
         with pytest.raises(ValueError, match="source"):
             g.validate()
 
     def test_unreachable_op_rejected(self):
         g = chain()
-        g.add_op(OperatorSpec("lonely", "map", stateful=False, factory=Operator))
+        g.add_op(OperatorSpec("lonely", "map", factory=Operator))
         g.add_edge(Edge("lonely", "sink"))
         with pytest.raises(ValueError, match="unreachable"):
             g.validate()
 
     def test_dead_end_rejected(self):
         g = chain()
-        g.add_op(OperatorSpec("dead", "map", stateful=False, factory=Operator))
+        g.add_op(OperatorSpec("dead", "map", factory=Operator))
         g.add_edge(Edge("src", "dead"))
         with pytest.raises(ValueError, match="dead end"):
             g.validate()
 
     def test_unmarked_cycle_rejected(self):
         g = chain()
-        g.add_op(OperatorSpec("a", "map", stateful=False, factory=Operator))
-        g.add_op(OperatorSpec("b", "map", stateful=False, factory=Operator))
+        g.add_op(OperatorSpec("a", "map", factory=Operator))
+        g.add_op(OperatorSpec("b", "map", factory=Operator))
         g.add_edge(Edge("src", "a"))
         g.add_edge(Edge("a", "b"))
         g.add_edge(Edge("b", "a"))  # cycle, not marked loop=True
@@ -110,10 +110,26 @@ class TestRouting:
         assert len(e.route(_rec(value={"op": "source"}, key=1), 0, 3)) == 1
 
 
-def counted_ops(qname: str, protocol: str) -> set:
+#: per graph: its non-sink operators (all counted under COOR), and those
+#: UNC/CIC count: the sources and the keyed stateful operators
+COUNTED = {
+    "q1": ({"src_bids", "map"}, {"src_bids"}),
+    "q3": ({"src_persons", "src_auctions", "filter_p", "join"},
+           {"src_persons", "src_auctions", "join"}),
+    "q8": ({"src_persons", "src_auctions", "winjoin"}, {"src_persons", "src_auctions", "winjoin"}),
+    "q12": ({"src_bids", "wincount"}, {"src_bids", "wincount"}),
+    "cyclic": ({"src_links", "src_sources", "cjoin", "select", "project"},
+               {"src_links", "src_sources", "cjoin"}),
+}
+
+
+def counted_ops(gname: str, protocol: str) -> set:
     """Operators whose checkpoints count in the Table III totals."""
-    topics = topics_for_query(qname, rate=10, duration=1, n_workers=2)
-    sim = Simulation(QUERIES[qname](), 2, make_protocol(protocol, 2.0, 2.0), topics)
+    if gname == "cyclic":
+        graph, topics = reachability_graph(), cyclic_topics(rate=10, duration=1, n_workers=2)
+    else:
+        graph, topics = QUERIES[gname](), topics_for_query(gname, rate=10, duration=1, n_workers=2)
+    sim = Simulation(graph, 2, make_protocol(protocol, 2.0, 2.0), topics)
     return {op for op, w in sim.instances if sim.protocol.counts_in_totals((op, w))}
 
 
@@ -128,6 +144,15 @@ class TestCheckpointingOps:
         ops = counted_ops("q3", "UNC")
         assert "join" in ops
         assert "filter_p" not in ops
+
+    @pytest.mark.parametrize("gname", ["q1", "q3", "q8", "q12"])
+    def test_coordinated_counts_every_non_sink_op(self, gname):
+        assert counted_ops(gname, "COOR") == COUNTED[gname][0]
+
+    @pytest.mark.parametrize("protocol", ["UNC", "CIC"])
+    @pytest.mark.parametrize("gname", sorted(COUNTED))
+    def test_unc_cic_count_sources_and_keyed_ops(self, gname, protocol):
+        assert counted_ops(gname, protocol) == COUNTED[gname][1]
 
     def test_sink_never_checkpoints(self):
         for protocol in ("COOR", "UNC", "CIC"):

@@ -122,10 +122,14 @@ class TestCheckpointStore:
         assert st.get(("a", 0), 0).state == {"x": 1}
 
     def test_dense_indices_enforced(self):
+        # a ValueError, not an assert, so that python -O keeps the check
         st = CheckpointStore()
         st.put(StoredCheckpoint(meta(("a", 0), 0), None))
-        with pytest.raises(AssertionError):
-            st.put(StoredCheckpoint(meta(("a", 0), 5), None))
+        for index in (5, 0):  # a gap, a repeat
+            with pytest.raises(ValueError, match="not the next 1"):
+                st.put(StoredCheckpoint(meta(("a", 0), index), None))
+        st.put(StoredCheckpoint(meta(("a", 0), 1), None))
+        assert len(st.checkpoints(("a", 0))) == 2
 
     def test_checkpoints_in_index_order(self):
         st = CheckpointStore()

@@ -11,11 +11,11 @@ from repro.dataflow.operators import (
     CyclicProjectOp,
     CyclicSelectOp,
     FilterOp,
-    IncrementalJoinOp,
+    JoinOp,
+    KeyedOp,
     MapOp,
     Operator,
     WindowCountOp,
-    WindowJoinOp,
 )
 from repro.nexmark.cyclic import reachability_graph
 from repro.nexmark.queries import QUERIES
@@ -57,12 +57,13 @@ class TestMapFilter:
     def test_stateless_ops_have_no_state(self):
         for op in [MapOp(fn=lambda v: v, out_kind="m"), FilterOp(pred=bool)]:
             assert op.state_bytes() == 0 and op.snapshot() is None
+            assert not isinstance(op, KeyedOp)
 
 
 def make_join():
-    return IncrementalJoinOp(
+    return JoinOp(
         left_op="L", right_op="R",
-        emit=lambda l, r: (f"j:{l['id']}:{r['id']}", l["id"], {"l": l["id"], "r": r["id"]}),
+        emit=lambda l, r, w: (f"j:{l['id']}:{r['id']}", l["id"], {"l": l["id"], "r": r["id"]}),
         out_kind="pair",
     )
 
@@ -114,7 +115,7 @@ class TestIncrementalJoin:
         j.process(rec("l1", 1, {"id": 1}), "L")
         snap = j.snapshot()
         j.process(rec("l2", 1, {"id": 2}), "L")
-        assert sum(len(v) for v in snap[0].values()) == 1
+        assert sum(len(v) for v in snap[0][0, 0].values()) == 1
 
     def test_state_bytes_grow(self):
         j = make_join()
@@ -129,12 +130,23 @@ class TestIncrementalJoin:
         j2.process(b, "L"); j2.process(a, "L")
         assert j1.state_fingerprint() == j2.state_fingerprint()
 
+    def test_unbounded_window_joins_far_apart_records_and_never_evicts(self):
+        j = make_join()
+        j.process(rec("l1", 1, {"id": 1}, ts=0.0), "L")
+        out = j.process(rec("r1", 1, {"id": 9}, ts=1e6), "R")
+        assert [o.uid for o in out] == ["j:1:9"]
+        out = j.process(rec("l2", 1, {"id": 2}, ts=0.0), "L")  # not late
+        assert [o.uid for o in out] == ["j:2:9"]
+        assert set(j.tables) == {(0, 0), (0, 1)} and j.max_window == 0
+        # the flat (left, right) fingerprint of an unbounded join
+        assert j.state_fingerprint() == (((1, ("l1", "l2")),), ((1, ("r1",)),))
+
 
 def make_wjoin(window=10.0):
-    return WindowJoinOp(
-        left_op="L", right_op="R", window=window,
+    return JoinOp(
+        left_op="L", right_op="R",
         emit=lambda l, r, w: (f"w:{l['id']}:{r['id']}:{w}", l["id"], {"w": w}),
-        out_kind="pair",
+        out_kind="pair", window=window,
     )
 
 
@@ -154,7 +166,7 @@ class TestWindowJoin:
         j = make_wjoin()
         j.process(rec("l1", 1, {"id": 1}, ts=3.0), "L")  # window 0
         j.process(rec("l2", 1, {"id": 2}, ts=25.0), "L")  # window 2 -> evict 0
-        assert 0 not in j.windows
+        assert [tid for tid in j.tables if tid[0] == 0] == []
 
     def test_late_record_for_evicted_window_dropped(self):
         j = make_wjoin()
@@ -172,7 +184,7 @@ class TestWindowJoin:
         snap = j.snapshot()
         j.process(rec("l2", 1, {"id": 2}, ts=25.0), "L")
         j.restore(snap)
-        assert j.max_window == 0 and 0 in j.windows
+        assert j.max_window == 0 and (0, 0) in j.tables
 
 
 class TestWindowCount:
@@ -213,7 +225,7 @@ class TestWindowCount:
 
 
 def make_cjoin():
-    return CyclicJoinOp(link_op="L", source_op="S", loop_op="P")
+    return CyclicJoinOp(link_op="L")
 
 
 def link(uid, u, v, op="add_link"):
@@ -310,6 +322,12 @@ ISOLATION_CASES = {
         [(rec("l2", 1, {"id": 2}), "L"), (rec("r2", 1, {"id": 8}), "R"),
          (rec("l3", 2, {"id": 3}), "L")],
     ),
+    "unbounded_join": (
+        make_join,
+        [(rec("l1", 1, {"id": 1}, ts=0.0), "L"), (rec("r1", 1, {"id": 9}, ts=1e6), "R")],
+        [(rec("l2", 1, {"id": 2}, ts=2e6), "L"), (rec("r2", 1, {"id": 8}, ts=5.0), "R"),
+         (rec("l3", 2, {"id": 3}, ts=3e6), "L")],
+    ),
     "window_join": (
         make_wjoin,
         [(rec("l1", 1, {"id": 1}, ts=3.0), "L"), (rec("r1", 1, {"id": 9}, ts=4.0), "R")],
@@ -378,18 +396,19 @@ class ScanCyclicJoinOp(CyclicJoinOp):
 
     def process(self, record, from_op):
         v = record.value
-        if from_op == self.source_op and v["op"] == "del_source":
-            for end in list(self.sources):
-                for entry in [t for t in self.sources[end] if t[0] == v["s"]]:
-                    del self.sources[end][entry]
+        sources = self.tables[0, 1]
+        if from_op != self.link_op and v["op"] == "del_source":
+            for end in list(sources):
+                for entry in [t for t in sources[end] if t[0] == v["s"]]:
+                    del sources[end][entry]
             return []
         return super().process(record, from_op)
 
     def snapshot(self):
-        return (_full_copy(self.links), _full_copy(self.sources))
+        return ({tid: _full_copy(t) for tid, t in self.tables.items()}, self.max_window)
 
     def restore(self, snap):
-        super().restore((_full_copy(snap[0]), _full_copy(snap[1])))
+        super().restore(({tid: _full_copy(t) for tid, t in snap[0].items()}, snap[1]))
 
 
 _node = st.integers(0, 4)
@@ -420,7 +439,7 @@ def _cyclic_record(i, step):
 @example([("add_source", 1, [2]), ("snapshot",), ("del_source", 1), ("add_source", 1, []),
           ("restore", 0), ("del_source", 1), ("add_source", 1, [2])])
 def test_indexed_source_delete_matches_full_scan(steps):
-    ops = [make_cjoin(), ScanCyclicJoinOp(link_op="L", source_op="S", loop_op="P")]
+    ops = [make_cjoin(), ScanCyclicJoinOp(link_op="L")]
     snaps = [[], []]
     for i, step in enumerate(steps):
         if step[0] == "snapshot":
@@ -436,7 +455,7 @@ def test_indexed_source_delete_matches_full_scan(steps):
             assert outs[0] == outs[1]
         assert ops[0].state_fingerprint() == ops[1].state_fingerprint()
         # same slots in the same order, emptied end-node slots included
-        assert list(ops[0].sources.items()) == list(ops[1].sources.items())
+        assert list(ops[0].tables[0, 1].items()) == list(ops[1].tables[0, 1].items())
 
 
 # ---------------------------------------------------------------------------
@@ -463,21 +482,27 @@ _idx = st.integers(0, 9)
 #: 10 s windows, so arrivals evict windows
 DIFF_CASES = {
     "incremental_join": (
-        make_join, ("left", "right"),
+        make_join,
         st.builds(lambda s, i: (rec(f"{s}{i}", i % 2, {"id": i}), s), _side, _idx),
     ),
+    "unbounded_join": (
+        # timestamps far apart: windows of any finite size would evict
+        make_join,
+        st.builds(lambda s, i: (rec(f"{s}{i}", i % 2, {"id": i}, ts=1e5 * (7 * i % 30)), s),
+                  _side, _idx),
+    ),
     "window_join": (
-        make_wjoin, ("windows", "max_window"),
+        make_wjoin,
         st.builds(lambda s, i: (rec(f"{s}{i}", i % 2, {"id": i}, ts=float(7 * i % 30)), s),
                   _side, _idx),
     ),
     "window_count": (
-        lambda: WindowCountOp(window=10.0, out_kind="o"), ("counts", "max_window"),
+        lambda: WindowCountOp(window=10.0, out_kind="o"),
         st.builds(lambda i: (rec(f"b{i}", i % 2, {}, ts=float(7 * i % 30)), "s"), _idx),
     ),
     "cyclic_join": (
         # the join keys its state on content, so every event may share a uid
-        make_cjoin, ("links", "sources"),
+        make_cjoin,
         st.one_of(*_events).map(lambda s: _cyclic_record(0, s)),
     ),
 }
@@ -487,13 +512,13 @@ DIFF_CASES = {
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_copy_on_write_matches_full_copy(case, data):
-    factory, attrs, records = DIFF_CASES[case]
+    factory, records = DIFF_CASES[case]
     steps = data.draw(st.lists(st.one_of(
         records.map(lambda r: ("process", r)),
         st.just(("snapshot",)),
         st.integers(0, 3).map(lambda k: ("restore", k)),
     ), min_size=10, max_size=40))
-    state = lambda op: tuple(getattr(op, a) for a in attrs)
+    state = lambda op: (op.tables, op.max_window)
     op, ref = factory(), factory()
     kept = []  # (snapshot, its deep copy when taken, the reference then)
     for step in steps:
@@ -516,45 +541,40 @@ def test_copy_on_write_matches_full_copy(case, data):
             assert snap == frozen
 
 
-def _two_table_slots(snap):
-    return {(side, k): slot for side, table in enumerate(snap) for k, slot in table.items()}
+def _slots(snap):
+    """Every slot of a snapshot by its path ``(table id, key)``."""
+    return {(tid, k): slot for tid, table in snap[0].items() for k, slot in table.items()}
 
 
-#: per ISOLATION_CASES entry: every slot of a snapshot by its path, and the
-#: path of the one slot the case's first change record writes
+#: per ISOLATION_CASES entry: the path of the one slot the case's first
+#: change record writes
 DELTA_CASES = {
-    "incremental_join": (_two_table_slots, (0, 1)),
-    "window_join": (
-        lambda snap: {(w, side, k): slot for w, tables in snap[0].items()
-                      for side, table in enumerate(tables) for k, slot in table.items()},
-        (0, 0, 1),
-    ),
-    "window_count": (
-        lambda snap: {(w, k): slot for w, table in snap[0].items() for k, slot in table.items()},
-        (0, 5),
-    ),
-    "cyclic_join": (_two_table_slots, (0, 1)),
+    "incremental_join": ((0, 0), 1),
+    "unbounded_join": ((0, 0), 1),
+    "window_join": ((0, 0), 1),
+    "window_count": ((0, 0), 5),
+    "cyclic_join": ((0, 0), 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ISOLATION_CASES))
 def test_copy_cost_follows_the_delta(case):
     factory, build, change = ISOLATION_CASES[case]
-    slots, written = DELTA_CASES[case]
+    written = DELTA_CASES[case]
     op = factory()
     for r, frm in build:
         op.process(r, frm)
     first_snap = op.snapshot()
     frozen = copy.deepcopy(first_snap)
-    first = slots(first_snap)
+    first = _slots(first_snap)
     op.process(*change[0])
-    second = slots(op.snapshot())
+    second = _slots(op.snapshot())
     # consecutive snapshots share every slot but the written one
     assert second.keys() == first.keys() and len(first) > 1
     assert [p for p in first if second[p] is not first[p]] == [written]
     # a restore shares too: the first write after it copies that slot only
     op.restore(first_snap)
     op.process(*change[0])
-    third = slots(op.snapshot())
+    third = _slots(op.snapshot())
     assert [p for p in first if third[p] is not first[p]] == [written]
     assert first_snap == frozen

@@ -189,10 +189,13 @@ class TestDerivedRecords:
         graph_of, run = _FAILURE_RUNS[case]
         res, graph = run(), graph_of()
         proto = make_protocol(case.split("-")[1], INTERVAL, INTERVAL)
-        proto.sim = SimpleNamespace(graph=graph)  # counts_in_totals reads only the graph
         taken = res.telemetry.checkpoints
         assert taken and [m.ts for m in taken] == sorted(m.ts for m in taken)
         insts = [(op, w) for op, spec in graph.ops.items() if not spec.is_sink for w in range(W)]
+        # counts_in_totals reads only the graph and the instances' classes
+        proto.sim = SimpleNamespace(
+            graph=graph, instances={inst: graph.ops[inst[0]].factory() for inst in insts}
+        )
         assert {m.instance for m in taken} <= set(insts)
         for inst in insts:
             stored = [cp.meta for cp in res.store.checkpoints(inst)]
