@@ -1,9 +1,10 @@
-"""Path bootstrap for the job entrypoints: puts ``src`` on ``sys.path``,
-and first on ``PYTHONPATH`` so the Python workers Spark starts from this
-process can import ``repro`` too (they unpickle functions defined in it).
+"""Path bootstrap for the driver ``run_all_tables.py``: puts ``src`` on
+``sys.path``, and first on ``PYTHONPATH`` so the Python workers Spark
+starts from this process can import ``repro`` too (they unpickle functions
+defined in it).
 
-Jobs run either under ``spark-submit jobs/<name>.py`` (a session already
-exists) or as plain ``python jobs/<name>.py``; both get their session from
+The driver runs either under ``spark-submit`` (a session already exists)
+or as plain ``python``; both get their session from
 ``repro.core.harness.spark_session``.
 """
 import os

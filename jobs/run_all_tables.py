@@ -2,13 +2,15 @@
 (MST, skew), sharing one Spark-parallel sweep for Tables II/III, and print
 every table with the paper's numbers alongside.
 
-This is the one-shot reproduction driver behind EXPERIMENTS.md.
+This is the reproduction's one driver, behind EXPERIMENTS.md. ``--quick``
+is the reduced-scale pass: 10 workers for Tables II/III, 5 for Table IV
+and the skew report at 50 % MST only.
 
 Usage: ``spark-submit jobs/run_all_tables.py [--quick]``
 """
 from __future__ import annotations
 
-import sys
+import argparse
 import time
 
 import _session  # noqa: F401  (path bootstrap)
@@ -29,7 +31,10 @@ from repro.core.tables import (
 
 
 def main() -> None:
-    quick = "--quick" in sys.argv
+    parser = argparse.ArgumentParser(
+        description="Print Tables I-IV and the figure-shaped reports.")
+    parser.add_argument("--quick", action="store_true", help="reduced-scale pass")
+    quick = parser.parse_args().quick
     spark = spark_session("run-all-tables")
     t0 = time.time()
 
@@ -59,7 +64,6 @@ def main() -> None:
         ms = sweep(cfgs_skew, spark)
         print(render(skew_frame(ms),
                      f"Fig. 12 shape — skewed NexMark at {int(frac*100)}% MST"))
-    print(f"[all done at {time.time()-t0:.0f}s]")
 
     # figure-shaped extras from the shared grid: restart & recovery times
     cols = ["query", "workers", "protocol", "restart_time", "recovery_time",
@@ -69,6 +73,7 @@ def main() -> None:
         .sort_values(["workers", "query", "protocol"]),
         "Fig. 8/11 shape — checkpoint/restart/recovery times (uniform runs)",
     ))
+    print(f"[all done at {time.time()-t0:.0f}s]")
     spark.stop()
 
 

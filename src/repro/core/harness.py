@@ -4,7 +4,7 @@
 (the paper's §V metrics). ``sweep`` runs a grid of configs and returns
 their rows as a pandas frame in submission order: with a SparkSession
 each config is one Spark task (``parallelize`` with one slice per config,
-``map``, ``collect``), which is how the table jobs execute the full
+``map``, ``collect``), which is how the table driver executes the full
 (protocol x query x parallelism) grid on all cores; without one it runs
 them serially. Either way the configs run longest first
 (:func:`longest_first`), so the slowest cells do not form the tail.
@@ -189,7 +189,7 @@ def run_config(cfg: ExperimentConfig):
 
 
 def spark_session(app: str = "repro") -> SparkSession:
-    """The SparkSession of the table jobs and the test suite (the active one
+    """The SparkSession of the table driver and the test suite (the active one
     under ``spark-submit``). Master and driver memory come from the launch
     (``PYSPARK_SUBMIT_ARGS`` or ``spark-submit``); the settings honoured
     after launch are set here. Shuffle partitions come from

@@ -4,7 +4,7 @@ Each ``*_configs`` function builds the grid the paper ran (scaled to the
 simulator, DESIGN.md §3); ``harness.sweep`` runs it. Each ``*_frame``
 function formats the sweep's metrics rows into a tidy pandas frame, with
 the paper's reported value alongside ours where the paper gives one.
-``render`` formats a frame for the jobs and EXPERIMENTS.md.
+``render`` formats a frame for ``jobs/run_all_tables.py`` and EXPERIMENTS.md.
 """
 from __future__ import annotations
 
@@ -67,7 +67,6 @@ def table23_configs(
     queries: Iterable[str] = QUERIES_T23,
     duration: float = RUN_DURATION,
     fail_at: Optional[float] = FAIL_AT,
-    mst_fraction: float = 0.8,
 ) -> List[ExperimentConfig]:
     """One shared grid feeds both Table II and Table III (the paper's runs
     do too): each protocol at 80 % MST, with the failure at t=18 s. Both
@@ -78,7 +77,7 @@ def table23_configs(
             query=q,
             protocol=p,
             workers=w,
-            rate=-mst_fraction,
+            rate=-0.8,
             duration=duration,
             fail_at=fail_at,
         )
@@ -92,17 +91,16 @@ def table4_configs(
     workers: Iterable[int] = (5, 10),
     duration: float = RUN_DURATION,
     fail_at: Optional[float] = CYCLIC_FAIL_AT,
-    mst_fraction: float = 0.775,
     n_nodes: int = 1_000_000,
 ) -> List[ExperimentConfig]:
-    """Cyclic query, UNC and CIC only (COOR deadlocks on cycles), 75-80 %
+    """Cyclic query, UNC and CIC only (COOR deadlocks on cycles), 77.5 %
     MST, failure at t=48 s."""
     return [
         ExperimentConfig(
             query="cyclic",
             protocol=p,
             workers=w,
-            rate=-mst_fraction,
+            rate=-0.775,
             duration=duration,
             fail_at=fail_at,
             n_nodes=n_nodes,
@@ -112,27 +110,22 @@ def table4_configs(
     ]
 
 
-def skew_configs(
-    workers: int = 10,
-    queries: Iterable[str] = ("q3", "q8", "q12"),
-    hot_ratios: Iterable[float] = (0.1, 0.2, 0.3),
-    mst_fraction: float = 0.5,
-    duration: float = 30.0,
-) -> List[ExperimentConfig]:
-    """Skewed NexMark (Fig. 12): hot-item ratios at a fraction of the
-    *non-skewed* MST, no failure."""
+def skew_configs(mst_fraction: float = 0.5) -> List[ExperimentConfig]:
+    """Skewed NexMark (Fig. 12): Q3/Q8/Q12 at 10 workers for 30 s under
+    hot-item ratios 10/20/30 %, at a fraction of the *non-skewed* MST, no
+    failure."""
     return [
         ExperimentConfig(
             query=q,
             protocol=p,
-            workers=workers,
+            workers=10,
             rate=-mst_fraction,
-            duration=duration,
+            duration=30.0,
             fail_at=None,
             hot_ratio=h,
         )
-        for q in queries
-        for h in hot_ratios
+        for q in ("q3", "q8", "q12")
+        for h in (0.1, 0.2, 0.3)
         for p in PROTOCOLS
     ]
 

@@ -1,15 +1,20 @@
 """Every job entry point imports cleanly. The jobs guard their work with
 ``if __name__ == "__main__"``, so importing one starts no Spark session;
-this catches a job left referring to a deleted module or name."""
+this catches a job left referring to a deleted module or name. The docs
+and docstrings name only jobs that exist, and the driver rejects an
+argument it does not know before it starts Spark."""
+import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-JOBS = Path(__file__).resolve().parent.parent / "jobs"
+ROOT = Path(__file__).resolve().parent.parent
+JOBS = ROOT / "jobs"
 
 
 @pytest.mark.parametrize("path", sorted(JOBS.glob("*.py")), ids=lambda p: p.stem)
@@ -40,3 +45,34 @@ def test_session_puts_src_on_child_pythonpath(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert Path(out.stdout.strip()) == src / "repro"
+
+
+def _docstrings(path):
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node)
+            if doc:
+                yield doc
+
+
+def test_docs_cite_only_existing_jobs():
+    """Each ``jobs/<name>.py`` named in the top-level docs or in a docstring
+    under ``jobs/`` and ``src/`` exists."""
+    texts = {name: (ROOT / name).read_text() for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")}
+    for path in sorted(JOBS.glob("*.py")) + sorted((ROOT / "src").rglob("*.py")):
+        texts[str(path.relative_to(ROOT))] = "\n".join(_docstrings(path))
+    cited = {(where, m) for where, text in texts.items() for m in re.findall(r"jobs/(\w+\.py)", text)}
+    assert ("README.md", "run_all_tables.py") in cited
+    assert sorted(c for c in cited if not (JOBS / c[1]).exists()) == []
+
+
+def test_driver_rejects_unknown_arguments():
+    """An unknown flag exits with argparse's usage error (code 2) and names
+    the flag. A run that got as far as Spark would exit 0 after the sweep
+    or 1 on a Spark error, and take far longer."""
+    out = subprocess.run([sys.executable, str(JOBS / "run_all_tables.py"), "--bogus"],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert "--bogus" in out.stderr
+    assert out.stdout == ""

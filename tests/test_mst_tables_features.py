@@ -99,11 +99,21 @@ class TestConfigGrids:
         assert len(cfgs) == 4
         assert {c.protocol for c in cfgs} == {"UNC", "CIC"}
         assert all(c.query == "cyclic" and c.fail_at == 48.0 for c in cfgs)
+        assert all(c.rate == -0.775 for c in cfgs)
 
     def test_skew_grid_shape(self):
         cfgs = skew_configs()
-        assert len(cfgs) == 3 * 3 * 3
-        assert all(c.fail_at is None and c.hot_ratio > 0 for c in cfgs)
+        assert [(c.query, c.hot_ratio, c.protocol) for c in cfgs] == [
+            (q, h, p)
+            for q in ("q3", "q8", "q12")
+            for h in (0.1, 0.2, 0.3)
+            for p in ("COOR", "UNC", "CIC")
+        ]
+        assert all(
+            c.workers == 10 and c.duration == 30.0 and c.fail_at is None and c.rate == -0.5
+            for c in cfgs
+        )
+        assert {c.rate for c in skew_configs(0.8)} == {-0.8}
 
     def test_fig7_normalises_by_the_checkpoint_free_probe(self):
         metrics = pd.DataFrame([

@@ -1,15 +1,19 @@
-"""Every name an import binds in ``src/`` and ``tests/`` is used in its
-module. No linter is installed, so this scans the syntax trees itself: a
-name counts as used if it is read anywhere in the module (annotations and
-quoted annotations included) or listed in the module's ``__all__``. An
-import kept for its side effect says so with a ``# noqa`` comment."""
+"""Every name an import binds in ``src/``, ``tests/``, ``jobs/``,
+``benchmarks/`` and the root ``conftest.py`` is used in its module. No
+linter is installed, so this scans the syntax trees itself: a name counts
+as used if it is read anywhere in the module (annotations and quoted
+annotations included) or listed in the module's ``__all__``. An import
+kept for its side effect says so with a ``# noqa`` comment."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+FILES = sorted(
+    [p for d in ("src", "tests", "jobs", "benchmarks") for p in (ROOT / d).rglob("*.py")]
+    + [ROOT / "conftest.py"]
+)
 
 
 def unused_imports(source: str):
