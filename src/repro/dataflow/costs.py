@@ -68,7 +68,7 @@ class SimCost:
     restart_base: float = 0.25  #: process restart + re-deploy
     restore_per_byte: float = 4e-9  #: state download/restore per byte
     replay_prep_per_msg: float = 60e-6  #: fetch+prepare one logged message
-    recovery_line_per_ckpt: float = 5e-6  #: rollback-propagation cost/ckpt
+    recovery_line_per_ckpt: float = 5e-6  #: recovery-line search cost per stored ckpt
 
     def op_service(self, kind: str) -> float:
         return self.service.get(kind, 12e-6)

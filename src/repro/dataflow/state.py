@@ -19,8 +19,8 @@ class CheckpointMeta:
     """Metadata persisted with every checkpoint.
 
     ``last_sent``/``last_recv`` are the per-channel sequence counters at
-    snapshot time. They serve three roles (paper §III-B): building the
-    checkpoint graph (orphan detection), choosing the replay interval per
+    snapshot time. They serve three roles (paper §III-B): finding the
+    recovery line (orphan detection), choosing the replay interval per
     channel, and receiver-side deduplication after rollback.
     """
 

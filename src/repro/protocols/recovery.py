@@ -1,107 +1,47 @@
 """Recovery-line computation for uncoordinated checkpoints (paper §III-B).
 
-Implements the *checkpoint graph* [47] and the *rollback propagation
-algorithm* (paper Algorithm 1):
+The recovery line maps every instance to a checkpoint index; index 0 is
+the implicit initial checkpoint every instance has at t=0. A line is
+consistent when no worker-to-worker channel has an *orphan*: a message
+the receiver's checkpoint processed (``last_recv``) but the sender's
+checkpoint had not sent (``last_sent``). Consistent lines are closed
+under the component-wise maximum, so a greatest one exists; it is the
+line paper Algorithm 1 (rollback propagation, [47]) finds, computed here
+as a fixpoint over the channel counters:
 
-- Nodes are checkpoints ``(instance, index)``; index 0 is the implicit
-  initial checkpoint every instance has at t=0.
-- Orphan edge ``c_{i,x} -> c_{j,y}``: there is at least one message on a
-  channel i->j sent after ``c_{i,x}`` (seq > last_sent at x) and processed
-  before ``c_{j,y}`` (seq <= last_recv at y). Since last_sent/last_recv are
-  monotone in the checkpoint index, one edge to the *earliest* such y plus
-  the consecutive edges ``c_{j,y} -> c_{j,y+1}`` represents them all.
-- Rollback propagation starts from the freshest checkpoint of every
-  instance (the root set), marks root checkpoints strictly reachable from
-  other root checkpoints, replaces marked ones with the next-older
-  checkpoint of the same instance, and repeats until no root checkpoint is
-  marked. The result is the most recent consistent recovery line.
+- start every instance at its freshest checkpoint;
+- while some channel has an orphan, move its receiver back to its latest
+  checkpoint without that orphan (index 0 has processed nothing, so the
+  walk stops there at the latest).
+
+A receiver only moves when every consistent line below the current one
+has it at or below its new index, so the fixpoint is the greatest
+consistent line. That holds while ``last_sent``/``last_recv`` rise with
+the checkpoint index.
 
 The channels come from the checkpoints themselves: every checkpoint, the
 initial one included, records each of its instance's out channels as a
-``last_sent`` key, so the store alone defines the graph.
+``last_sent`` key, so the store alone defines them.
 """
 from __future__ import annotations
 
-import bisect
-from collections import deque
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
-from repro.dataflow.messages import InstanceId
+from repro.dataflow.messages import Channel, InstanceId
 from repro.dataflow.state import CheckpointStore
 
-Node = Tuple[InstanceId, int]
 
-
-def build_checkpoint_graph(
-    store: CheckpointStore, instances: List[InstanceId]
-) -> Dict[Node, List[Node]]:
-    """Adjacency list of the checkpoint graph over all stored checkpoints."""
-    adj: Dict[Node, List[Node]] = {}
-    metas = {inst: [cp.meta for cp in store.checkpoints(inst)] for inst in instances}
-    inst_set = set(instances)
-    for inst in instances:
-        ms = metas[inst]
-        for x in range(len(ms)):
-            adj[(inst, x)] = []
-        for x in range(len(ms) - 1):  # consecutive edges
-            adj[(inst, x)].append((inst, x + 1))
-    for inst in instances:
-        ms = metas[inst]
-        for ch in ms[0].last_sent:  # the initial checkpoint lists them all
-            dst: InstanceId = (ch[2], ch[3])
-            if dst not in inst_set:
-                continue  # sinks are external, never checkpoint
-            recv = [m.last_recv.get(ch, 0) for m in metas[dst]]
-            if not recv or recv[-1] == 0:
-                continue  # no message ever processed on this channel
-            for x, m in enumerate(ms):
-                sent = m.last_sent.get(ch, 0)
-                # earliest y with last_recv > sent
-                y = bisect.bisect_right(recv, sent)
-                if y < len(recv):
-                    adj[(inst, x)].append((dst, y))
-    return adj
-
-
-def _reachable(adj: Dict[Node, List[Node]], start: Node, targets: Set[Node]) -> Set[Node]:
-    """Targets strictly reachable from ``start`` (start itself excluded
-    unless reached through a cycle)."""
-    hit: Set[Node] = set()
-    seen = {start}
-    dq = deque(adj.get(start, ()))
-    while dq:
-        n = dq.popleft()
-        if n in seen:
-            continue
-        seen.add(n)
-        if n in targets:
-            hit.add(n)
-        dq.extend(adj.get(n, ()))
-    return hit
-
-
-def rollback_propagation(
-    adj: Dict[Node, List[Node]],
-    latest: Dict[InstanceId, int],
-) -> Dict[InstanceId, int]:
-    """Paper Algorithm 1: return the consistent recovery line as a mapping
-    instance -> checkpoint index."""
-    root: Dict[InstanceId, int] = dict(latest)
-    for _ in range(sum(latest.values()) + len(latest) + 1):
-        root_nodes = {(i, x) for i, x in root.items()}
-        marked: Set[Node] = set()
-        for node in root_nodes:
-            marked |= _reachable(adj, node, root_nodes - {node})
-        if not marked:
-            return root
-        for inst, x in list(root.items()):
-            if (inst, x) in marked:
-                if x == 0:
-                    # initial checkpoints are always mutually consistent;
-                    # being "marked" at index 0 cannot force further rollback
-                    continue
-                root[inst] = x - 1
-    return root  # pragma: no cover — loop bound generous enough to converge
+def channel_counters(
+    store: CheckpointStore, line: Dict[InstanceId, int]
+) -> Iterator[Tuple[Channel, int, int]]:
+    """``(channel, recv@line, sent@line)`` of every worker-to-worker channel.
+    Sinks are external: they never checkpoint, and the messages in flight
+    to them still arrive."""
+    for src, x in line.items():
+        for ch, sent in store.get(src, x).meta.last_sent.items():
+            dst = (ch[2], ch[3])
+            if dst in line:
+                yield ch, store.get(dst, line[dst]).meta.last_recv.get(ch, 0), sent
 
 
 def find_recovery_line(
@@ -116,9 +56,13 @@ def find_recovery_line(
     can no longer be part of any consistent recovery line — paper Table III
     counts these) over the ``counted`` instances.
     """
-    adj = build_checkpoint_graph(store, instances)
     latest = {inst: len(store.checkpoints(inst)) - 1 for inst in instances}
-    line = rollback_propagation(adj, latest)
+    line = dict(latest)
+    while orphans := [(ch, sent) for ch, recv, sent in channel_counters(store, line) if recv > sent]:
+        for ch, sent in orphans:
+            dst = (ch[2], ch[3])
+            while store.get(dst, line[dst]).meta.last_recv.get(ch, 0) > sent:
+                line[dst] -= 1
     invalid = sum(latest[i] - line[i] for i in counted)
     scanned = sum(latest[i] + 1 for i in instances)
     return line, invalid, scanned

@@ -25,7 +25,7 @@ from typing import Dict
 from repro.dataflow.messages import CKPT_META_BYTES, InstanceId, Message
 
 from .base import Protocol, RecoveryPlan
-from .recovery import find_recovery_line
+from .recovery import channel_counters, find_recovery_line
 
 #: relative spread of each instance's checkpoint period around ``interval``
 JITTER = 0.05
@@ -100,18 +100,10 @@ class UncoordinatedProtocol(Protocol):
         line, invalid, scanned = find_recovery_line(
             sim.store, instances, counted=[i for i in instances if self.counts_in_totals(i)],
         )
-        replay = {}
-        for inst in instances:
-            a_meta = sim.store.get(inst, line[inst]).meta
-            for ch, upto in a_meta.last_sent.items():  # every out channel of inst
-                dst = (ch[2], ch[3])
-                if dst not in sim.instances:
-                    continue  # external sink: in-flight messages still arrive
-                after = sim.store.get(dst, line[dst]).meta.last_recv.get(ch, 0)
-                if upto > after:
-                    msgs = sim.msg_log.replay_range(ch, after, upto)
-                    if msgs:
-                        replay[ch] = msgs
+        replay = {
+            ch: sim.msg_log.replay_range(ch, recv, sent)
+            for ch, recv, sent in channel_counters(sim.store, line) if sent > recv
+        }
         return RecoveryPlan(
             line=line,
             replay=replay,

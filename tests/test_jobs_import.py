@@ -57,14 +57,33 @@ def _docstrings(path):
 
 
 def test_docs_cite_only_existing_jobs():
-    """Each ``jobs/<name>.py`` named in the top-level docs or in a docstring
-    under ``jobs/`` and ``src/`` exists."""
+    """Each ``jobs/<name>.py``, ``tests/<file>.py[::Class]`` and
+    ``src/repro/<pkg>/<mod>.py`` (or bare ``<pkg>/<mod>.py``) named in the
+    top-level docs or in a docstring under ``jobs/`` and ``src/`` exists,
+    and so does each cited test class."""
     texts = {name: (ROOT / name).read_text() for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")}
     for path in sorted(JOBS.glob("*.py")) + sorted((ROOT / "src").rglob("*.py")):
         texts[str(path.relative_to(ROOT))] = "\n".join(_docstrings(path))
-    cited = {(where, m) for where, text in texts.items() for m in re.findall(r"jobs/(\w+\.py)", text)}
-    assert ("README.md", "run_all_tables.py") in cited
-    assert sorted(c for c in cited if not (JOBS / c[1]).exists()) == []
+    pkgs = "|".join(p.name for p in (ROOT / "src" / "repro").iterdir() if (p / "__init__.py").exists())
+    citations = [  # (pattern with a ``path`` group, directory the path is relative to)
+        (r"\b(?P<path>jobs/\w+\.py)", ROOT),
+        (r"\b(?P<path>tests/\w+\.py)(?:::(?P<cls>\w+))?", ROOT),
+        (rf"(?:src/repro/)?\b(?P<path>(?:{pkgs})/\w+\.py)", ROOT / "src" / "repro"),
+    ]
+    cited = {
+        (where, str((base / m["path"]).relative_to(ROOT)), m.groupdict().get("cls"))
+        for where, text in texts.items() for pattern, base in citations
+        for m in re.finditer(pattern, text)
+    }
+    assert ("README.md", "jobs/run_all_tables.py", None) in cited
+    assert ("EXPERIMENTS.md", "tests/test_recovery_line.py", None) in cited
+    assert ("DESIGN.md", "src/repro/protocols/recovery.py", None) in cited
+
+    def missing(path, cls):
+        f = ROOT / path
+        return not f.exists() or (cls and not re.search(rf"^class {cls}\b", f.read_text(), re.M))
+
+    assert sorted(c for c in cited if missing(*c[1:])) == []
 
 
 def test_driver_rejects_unknown_arguments():
