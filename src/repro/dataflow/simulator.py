@@ -60,9 +60,15 @@ fixed by the rules above):
   or the lane per target index. Messages carry their lane and the
   per-worker head heaps hold lanes keyed ``(arrival, counter, lane)`` with
   unique counters, so the per-message path hashes no channel tuple and
-  never compares a lane. A dispatch's send cost is summed in outbox order
-  as messages join it. Protocol and operator hooks are looked up when
-  called, so wrappers installed after construction take effect.
+  never compares a lane. Each ready lane has exactly one head-heap entry,
+  and each entry is a ready lane of its worker. A message that finds its
+  worker free, the worker's head heap empty and its lane unblocked is
+  dispatched directly, unqueued and with no entry: that entry would be
+  the only one and pop at once, and the skipped counter value keeps the
+  order of all other keys. ``_start`` runs and schedules each dispatch.
+  A dispatch's send cost is summed in outbox order as messages join it.
+  Protocol and operator hooks are looked up when called, so wrappers
+  installed after construction take effect.
 - Memory model: nothing here forms a reference cycle once ``run`` has
   dropped the two pointers back into the simulation (``protocol.sim`` and
   the lanes' routing tables), so reference counting frees it whole.
@@ -308,13 +314,18 @@ class Simulation:
     # --------------------------------------------------------- channel plumb
     def _enqueue(self, t: float, msg: Message) -> None:
         lane = msg.lane
+        w = lane.w
+        if (not self.heads[w] and self.current[w] is None and self.busy_until[w] <= t
+                and not lane.blocked and not self.failed):
+            self._start(w, lane, msg, t)  # direct dispatch
+            return
         msg.arr = t
         lane.q.append(msg)
         if not lane.ready and not lane.blocked:
             lane.ready = True
-            heapq.heappush(self.heads[lane.w], (t, self._counter, lane))
+            heapq.heappush(self.heads[w], (t, self._counter, lane))
             self._counter += 1
-            self._dispatch(lane.w, t)
+            self._dispatch(w, t)
 
     def unblock(self, lane: _Lane) -> None:
         """Called by COOR when alignment completes for a lane."""
@@ -332,8 +343,6 @@ class Simulation:
         heads = self.heads[w]
         while heads:
             lane = heapq.heappop(heads)[2]
-            if not lane.ready:
-                continue
             q = lane.q
             if not q or lane.blocked:
                 lane.ready = False
@@ -344,15 +353,12 @@ class Simulation:
                 self._counter += 1
             else:
                 lane.ready = False
-            dur = self._process(w, lane, msg, t)
-            if dur is None:
-                continue  # dropped with zero cost (dup / stale offset)
-            self.busy_until[w] = done = t + dur
-            self._counter += 1
-            heapq.heappush(self.heap, (done, self._counter, "proc", self.epoch, w))
-            return
+            if self._start(w, lane, msg, t):
+                return
 
-    def _process(self, w: int, lane: _Lane, msg: Message, t: float) -> Optional[float]:
+    def _start(self, w: int, lane: _Lane, msg: Message, t: float) -> bool:
+        """Process ``msg`` on worker ``w`` and schedule its ``proc`` event;
+        False if it was dropped at zero cost (a duplicate or a stale offset)."""
         outbox = self._outbox = []
         self._extra_service = self._send_cost = 0.0
         # reentrancy guard: protocol hooks (unblock) may try to
@@ -362,7 +368,7 @@ class Simulation:
         if lane.part is not None:
             if msg.seq != lane.recv:
                 self._outbox = self.current[w] = None
-                return None  # stale pre-rollback schedule
+                return False  # stale pre-rollback schedule
             lane.recv += 1
             self.telemetry.n_source_emitted += 1
             service = lane.service
@@ -374,7 +380,7 @@ class Simulation:
             if msg.seq <= lane.recv:
                 self.n_dedup_drops += 1
                 self._outbox = self.current[w] = None
-                return None
+                return False
             # two statements: a forced checkpoint adds to _extra_service
             extra = self.protocol.before_process(t, lane.inst, msg)
             self._extra_service += extra
@@ -384,7 +390,10 @@ class Simulation:
                 self._emit(t, lane, rec)
 
         self._outbox = None
-        return service + self._extra_service + self._send_cost
+        self.busy_until[w] = done = t + (service + self._extra_service + self._send_cost)
+        self._counter += 1
+        heapq.heappush(self.heap, (done, self._counter, "proc", self.epoch, w))
+        return True
 
     def _emit(self, t: float, lane: _Lane, rec: Record) -> None:
         """Send ``rec`` from ``lane``'s receiver on the lanes its routes pick."""
@@ -627,7 +636,8 @@ class Simulation:
                         sink_ts.append(last_sink)
                         ingest_ts.append(rec.ingest_ts)
                 self.current[w] = None
-                self._dispatch(w, t)
+                if self.heads[w]:
+                    self._dispatch(w, t)
             elif kind == "call":
                 data(t)
             else:  # pragma: no cover

@@ -98,11 +98,11 @@ class CICProtocol(UncoordinatedProtocol):
 
     # -- data path ---------------------------------------------------------
     def on_send(self, t: float, inst: InstanceId, msg: Message) -> None:
-        super().on_send(t, inst, msg)
-        st = self.states[inst]
-        di = self.inst_index.get(msg.lane.inst)
-        if di is not None:
-            st.sent_to |= 1 << di
+        # UNC's log append, inlined; ``msg_log.append`` is looked up per call
+        lane, st = msg.lane, self.states[inst]
+        if not lane.to_sink:
+            self.sim.msg_log.append(lane.ch, msg.seq, msg.record)
+            st.sent_to |= 1 << self.inst_index[lane.inst]
         msg.proto_bytes = self.piggyback_nbytes
         pb = st.piggyback
         if pb is None:

@@ -1,4 +1,4 @@
-"""Bit-identity pins for five small end-to-end cells.
+"""Bit-identity pins for seven small end-to-end cells.
 
 Each cell goes through ``config.build`` -> ``Simulation.run`` ->
 ``harness.metrics_row`` and is reduced to crc32 digests of the metrics
@@ -17,6 +17,16 @@ re-records the constants and says so.
   in-flight messages and resume;
 - Q12 under UNC with a hot key and a failure: window-count snapshots,
   a restore to the recovery line and replay into the count windows.
+
+The five cells above run saturated, so nearly every message waits in a
+lane queue. Two more run at low load on four workers, where a message
+often reaches an idle worker whose head heap is empty and is dispatched
+at once, before and after the failure:
+
+- Q8 under COOR with a hot key, rate 300: aligned rounds between direct
+  dispatches;
+- Q12 under UNC with a hot key, rate 200: logging, recovery and replay
+  between direct dispatches.
 """
 import json
 import zlib
@@ -47,6 +57,14 @@ CELLS = {
         query="q12", protocol="UNC", workers=3, rate=1000.0, duration=10.0,
         fail_at=6.0, hot_ratio=0.3, seed=7,
     ),
+    "q8-coor-hot-low": ExperimentConfig(
+        query="q8", protocol="COOR", workers=4, rate=300.0, duration=10.0,
+        fail_at=6.0, hot_ratio=0.3, seed=7,
+    ),
+    "q12-unc-hot-low": ExperimentConfig(
+        query="q12", protocol="UNC", workers=4, rate=200.0, duration=10.0,
+        fail_at=6.0, hot_ratio=0.3, seed=7,
+    ),
 }
 
 #: (metrics row, sink, state) digests
@@ -56,6 +74,8 @@ PINS = {
     "q1-cic-fail": ("ee3ef819", "e4ab2665", "00000000"),
     "q3-unc-fail": ("b50228fd", "295a7298", "01d073a7"),
     "q12-unc-hot": ("430b92fb", "986219f0", "ff8ac244"),
+    "q8-coor-hot-low": ("f2e1b366", "55af73a8", "327fb565"),
+    "q12-unc-hot-low": ("b11ab6f8", "6db94c66", "4f8edeb2"),
 }
 
 #: the MST passed to ``metrics_row``; it only feeds the row's ``mst`` column

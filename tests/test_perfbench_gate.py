@@ -50,3 +50,7 @@ def test_traced_hooks_see_every_call():
     for name in ("dataflow.operators.process_n", "protocols.before_process_n",
                  "dataflow.state.log_append_n"):
         assert m[name] > 0, name
+    # Q1 sends one worker-to-worker message per source record, and each is
+    # logged; every processed data message passes the receive hook
+    assert m["dataflow.state.log_append_n"] == m["dataflow.simulator.source_emitted"]
+    assert m["protocols.before_process_n"] == m["dataflow.operators.process_n"]

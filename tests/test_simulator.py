@@ -315,6 +315,38 @@ class TestLanes:
         assert all(m.lane.to_sink == (m.lane.ch[2] in sim.sinks) for _, m in sent)
 
 
+class TestHeadHeaps:
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(query="q3", protocol="UNC", workers=3, rate=1000.0, duration=8.0,
+                         fail_at=5.0, seed=7),
+        ExperimentConfig(query="q8", protocol="COOR", workers=3, rate=1000.0, duration=8.0,
+                         fail_at=5.0, hot_ratio=0.3, seed=7),
+        ExperimentConfig(query="cyclic", protocol="CIC", workers=3, rate=200.0, duration=8.0,
+                         fail_at=5.0, n_nodes=1000, seed=7),
+    ], ids=["q3-UNC", "q8-COOR-hot", "cyclic-CIC"])
+    def test_every_entry_is_a_ready_lane_of_its_worker(self, cfg):
+        """Between events, each ``heads[w]`` entry is a ready lane of worker
+        ``w`` and each ready lane has exactly one entry, so ``_dispatch``
+        never pops a stale entry and a message may skip the head heap of
+        a worker whose heap is empty."""
+        sim = build(cfg)
+        seen = {"samples": 0, "entries": 0}
+
+        def sample(t):
+            entries = [(w, lane) for w, heads in enumerate(sim.heads) for _, _, lane in heads]
+            assert all(lane.ready and lane.w == w for w, lane in entries)
+            ready = [lane for lane in sim.lanes.values() if lane.ready]
+            assert len({id(lane) for _, lane in entries}) == len(entries) == len(ready)
+            seen["samples"] += 1
+            seen["entries"] += len(entries)
+            if t < sim.horizon:
+                sim.call_at(t + 0.05, sample)
+
+        sim.call_at(0.0, sample)
+        sim.run(cfg.duration, fail_at=cfg.fail_at)
+        assert seen["samples"] > 100 and seen["entries"] > 0
+
+
 #: every (query, protocol) pair the simulator runs, each without and (if
 #: the protocol can recover) with a failure
 _MEMORY_CASES = [
