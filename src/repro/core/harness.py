@@ -128,9 +128,9 @@ def metrics_row(cfg: ExperimentConfig, res: SimResult, mst: float) -> Dict:
     if cfg.protocol == "COOR":
         # a COOR "checkpoint" is a completed round (§V): its time is the
         # round duration, and only completed-round snapshots count
-        done = {r["round_id"] for r in tel.rounds}
+        done = {r for r, _, _ in tel.rounds}
         ckpt_total = sum(m.round_id in done for m in ckpts)
-        steady = [r["duration"] for r in tel.rounds if r["start"] < t_cut]
+        steady = [duration for _, start, duration in tel.rounds if start < t_cut]
     else:
         ckpt_total = len(ckpts)
         steady = [m.duration for m in ckpts if m.ts < t_cut]

@@ -71,7 +71,9 @@ class SimCost:
     recovery_line_per_ckpt: float = 5e-6  #: recovery-line search cost per stored ckpt
 
     def op_service(self, kind: str) -> float:
-        return self.service.get(kind, 12e-6)
+        """Per-record service time of an operator kind; an unknown kind
+        raises ``KeyError``."""
+        return self.service[kind]
 
     def snapshot_time(self, state_bytes: int) -> float:
         """Modelled checkpointing time for one local snapshot (UNC/CIC

@@ -32,7 +32,6 @@ class Edge:
     dst: str
     routing: str = "hash"  #: "forward" | "hash"
     key_fn: Optional[Callable[[Any], Any]] = None  #: routing key for "hash"
-    loop: bool = False  #: True for the cyclic query's feedback edge
     #: per-record broadcast override (e.g. the cyclic query's del_source
     #: events must reach every join instance because derived sources are
     #: partitioned by path end-node, not by source id)
@@ -142,7 +141,5 @@ class LogicalGraph:
                 raise ValueError(f"operator {name!r} is unreachable (no inbound edges)")
             if not spec.is_sink and not self.out_edges(name):
                 raise ValueError(f"operator {name!r} is a dead end (no outbound edges)")
-        if self.has_cycle() and not any(e.loop for e in self.edges):
-            raise ValueError("cyclic graph must mark its feedback edge with loop=True")
         return self
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Optional, Tuple
 
 #: Channel identity: (src_op, src_idx, dst_op, dst_idx).
@@ -26,13 +25,6 @@ def stable_hash(key: Any) -> int:
     every record to the same worker — required for deterministic replay.
     """
     return zlib.crc32(repr(key).encode())
-
-
-class Kind(Enum):
-    """Wire-level message kinds."""
-
-    DATA = "data"  #: a record produced by the workload
-    MARKER = "marker"  #: COOR checkpoint barrier marker
 
 
 @dataclass(slots=True)
@@ -57,7 +49,8 @@ class Record:
 
 @dataclass(slots=True)
 class Message:
-    """A message in flight on a channel.
+    """A message in flight on a channel: a data message carries a
+    ``record``; a COOR marker or coordinator trigger carries none.
 
     ``seq`` is the per-channel FIFO sequence number assigned at send time;
     UNC/CIC use it for message logging, dedup and orphan detection. On a
@@ -71,7 +64,6 @@ class Message:
     entered its destination channel queue.
     """
 
-    kind: Kind
     seq: int
     record: Optional[Record]
     lane: Any

@@ -38,10 +38,12 @@ fixed by the rules above):
   pop in time order, nothing reads the sink during the run, and a failure
   does not stop what was sent to it.
 - A source's Kafka offset is its source lane's ``recv`` (the next record
-  to serve) and the lane holds the partition. Sources are scheduled
-  lazily. Each source lane has at most one pending heap event, for its
-  next record; when it pops, the following offset is pushed and the
-  record is enqueued. Scheduling a source (at start and again at resume)
+  to serve) and the lane holds the partition. The source lane is the
+  source's one in-lane, so a checkpoint records the offset as one more
+  ``last_recv`` counter and the resume restores it with the others.
+  Sources are scheduled lazily. Each source lane has at most one pending
+  heap event, for its next record; when it pops, the following offset is
+  pushed and the record is enqueued. Scheduling a source (at start and again at resume)
   *reserves* one counter value per remaining record, so offset ``o`` of a
   source scheduled with floor ``f`` always has the key
   ``(max(ingest_ts, f), base + o)`` it would have had if the whole suffix
@@ -65,7 +67,8 @@ fixed by the rules above):
   worker free, the worker's head heap empty and its lane unblocked is
   dispatched directly, unqueued and with no entry: that entry would be
   the only one and pop at once, and the skipped counter value keeps the
-  order of all other keys. ``_start`` runs and schedules each dispatch.
+  order of all other keys. ``_start`` runs and schedules each dispatch;
+  a message without a record is a COOR marker or coordinator trigger.
   A dispatch's send cost is summed in outbox order as messages join it.
   Protocol and operator hooks are looked up when called, so wrappers
   installed after construction take effect.
@@ -79,10 +82,11 @@ fixed by the rules above):
   makes the pause safe.
 
 Each run fact is kept once: the sink output in ``sinks`` (uid -> value per
-sink, first arrival wins), a checkpoint's metadata in the ``store`` (the
-counted ones also listed, as the same objects, in
-``telemetry.checkpoints``), and one latency sample per first arrival in
-the ``telemetry.sink_ts``/``ingest_ts`` columns.
+sink, first arrival wins), a checkpoint as one ``Checkpoint`` record in
+the ``store`` (snapshot and channel counters; the counted ones also
+listed, as the same objects, in ``telemetry.checkpoints``), and one
+latency sample per first arrival in the ``telemetry.sink_ts``/
+``ingest_ts`` columns.
 """
 from __future__ import annotations
 
@@ -104,12 +108,11 @@ from .messages import (
     MARKER_BYTES,
     Channel,
     InstanceId,
-    Kind,
     Message,
     Record,
     payload_bytes_for,
 )
-from .state import CheckpointMeta, CheckpointStore, MessageLog, StoredCheckpoint
+from .state import Checkpoint, CheckpointStore, MessageLog
 from .telemetry import Telemetry
 
 _SRC = "__src__"
@@ -243,10 +246,12 @@ class Simulation:
                         self.in_lanes[ln.inst].append(ln)
                 self.out_lanes[(e.src, i)].extend(fixed or targets)
                 routes[(e.src, i)].append((e, fixed, targets))
-        #: source instance -> its source lane, whose ``recv`` is the offset
+        #: source instance -> its source lane, whose ``recv`` is the offset;
+        #: it is the source's one in-lane, so checkpoints record the offset
         self.source_lanes: Dict[InstanceId, _Lane] = {}
         for inst, part in parts.items():
-            self.source_lanes[inst] = lane((_SRC, 0) + inst, part)
+            ln = self.source_lanes[inst] = lane((_SRC, 0) + inst, part)
+            self.in_lanes[inst].append(ln)
             lane((_COORD, 0) + inst)  # coordinator triggers (COOR)
         tables = {inst: tuple(table) for inst, table in routes.items()}
         for ln in self.lanes.values():
@@ -296,7 +301,7 @@ class Simulation:
         §VII-B, skewed NexMark). Its ``seq`` is the round id.
         """
         lane = self.lanes[(_COORD, 0) + inst]
-        self._enqueue(self.now, Message(Kind.MARKER, round_id, None, lane))
+        self._enqueue(self.now, Message(round_id, None, lane))
 
     # --------------------------------------------------------------- sources
     def _schedule_source_records(self, lane: _Lane, t_floor: float) -> None:
@@ -373,7 +378,7 @@ class Simulation:
             self.telemetry.n_source_emitted += 1
             service = lane.service
             self._emit(t, lane, msg.record)
-        elif msg.kind is Kind.MARKER:
+        elif msg.record is None:  # a COOR marker or coordinator trigger
             service = self.cost.op_service("marker")
             self.protocol.on_marker(t, lane.inst, msg)
         else:
@@ -403,7 +408,7 @@ class Simulation:
         for edge, fixed, targets in lane.routes:
             for out in fixed or [targets[j] for j in edge.route(rec, inst[1], self.W)]:
                 out.sent += 1
-                msg = Message(Kind.DATA, out.sent, rec, out)
+                msg = Message(out.sent, rec, out)
                 on_send(t, inst, msg)
                 n += 1
                 piggyback += msg.proto_bytes
@@ -426,7 +431,7 @@ class Simulation:
         for lane in self.out_lanes[inst]:
             if lane.to_sink:
                 continue
-            msg = Message(Kind.MARKER, round_id, None, lane, MARKER_BYTES)
+            msg = Message(round_id, None, lane, MARKER_BYTES)
             self.telemetry.n_marker_msgs += 1
             self._send_cost += self.cost.serialize_per_byte * MARKER_BYTES
             self._outbox.append(msg)
@@ -435,12 +440,10 @@ class Simulation:
     def _store_checkpoint(
         self, inst: InstanceId, kind: str, round_id: Optional[int],
         ts: float, extra_duration: float = 0.0,
-    ) -> CheckpointMeta:
-        spec = self.graph.ops[inst[0]]
+    ) -> Checkpoint:
         op = self.instances[inst]
-        state = op.snapshot() if isinstance(op, KeyedOp) else None
         sb = op.state_bytes()
-        meta = CheckpointMeta(
+        cp = Checkpoint(
             instance=inst,
             index=len(self.store.checkpoints(inst)),
             ts=ts,
@@ -449,22 +452,22 @@ class Simulation:
             state_bytes=sb,
             last_sent={ln.ch: ln.sent for ln in self.out_lanes[inst]},
             last_recv={ln.ch: ln.recv for ln in self.in_lanes[inst]},
-            source_offset=self.source_lanes[inst].recv if spec.is_source else None,
             duration=self.cost.snapshot_time(sb) + extra_duration,
+            state=op.snapshot() if isinstance(op, KeyedOp) else None,
         )
-        self.store.put(StoredCheckpoint(meta=meta, state=state))
+        self.store.put(cp)
         if kind != "initial" and self.protocol.counts_in_totals(inst):
-            self.telemetry.checkpoints.append(meta)
-        return meta
+            self.telemetry.checkpoints.append(cp)
+        return cp
 
     def take_checkpoint(
         self, inst: InstanceId, kind: str, round_id: Optional[int] = None,
         extra_duration: float = 0.0,
-    ) -> CheckpointMeta:
+    ) -> Checkpoint:
         """Protocol-facing checkpoint: snapshot now, charge the synchronous
         part to the hosting worker, count it in telemetry. ``extra_duration``
         models protocol-specific persistence work (e.g. CIC's vectors)."""
-        meta = self._store_checkpoint(
+        cp = self._store_checkpoint(
             inst, kind=kind, round_id=round_id, ts=self.now, extra_duration=extra_duration,
         )
         w = inst[1]
@@ -473,7 +476,7 @@ class Simulation:
         else:
             self.busy_until[w] = max(self.busy_until[w], self.now) + self.cost.snapshot_sync
             self.call_at(self.busy_until[w], partial(self._dispatch, w))
-        return meta
+        return cp
 
     # -------------------------------------------------------------- failures
     def _fail(self, t: float) -> None:
@@ -496,7 +499,7 @@ class Simulation:
         plan = self.protocol.plan_recovery(t)
         restore_bytes = 0
         for inst, idx in plan.line.items():
-            restore_bytes = max(restore_bytes, self.store.get(inst, idx).meta.state_bytes)
+            restore_bytes = max(restore_bytes, self.store.get(inst, idx).state_bytes)
         restart = (
             self.cost.restart_base
             + self.cost.restore_time(restore_bytes)
@@ -518,12 +521,10 @@ class Simulation:
             op = self.instances[inst]
             if isinstance(op, KeyedOp):
                 op.restore(cp.state)
-            if self.graph.ops[inst[0]].is_source:
-                self.source_lanes[inst].recv = cp.meta.source_offset
-            for ch, s in cp.meta.last_sent.items():
+            for ch, s in cp.last_sent.items():
                 self.lanes[ch].sent = s
                 self.msg_log.truncate(ch, s)
-            for ch, s in cp.meta.last_recv.items():
+            for ch, s in cp.last_recv.items():
                 self.lanes[ch].recv = s
         self.failed = False
         for lane in self.source_lanes.values():
@@ -534,7 +535,7 @@ class Simulation:
             for seq, rec in plan.replay[ch]:
                 k += 1
                 self._counter += 1
-                msg = Message(Kind.DATA, seq, rec, lane)
+                msg = Message(seq, rec, lane)
                 heapq.heappush(self.heap, (t + latency + k * 1e-7, self._counter, "arrive",
                                            self.epoch, msg))
         self.telemetry.recovery["t_resume"] = t
@@ -586,7 +587,7 @@ class Simulation:
         self.horizon = duration
         for lane in self.source_lanes.values():
             self._schedule_source_records(lane, 0.0)
-        self.protocol.on_start()
+        self.protocol.on_resume(0.0)  # arm the first timers / round
         if fail_at is not None:
             self.call_at(fail_at, self._fail)
 
@@ -615,7 +616,7 @@ class Simulation:
                             f"ingest-time order at offset {nxt}"
                         )
                     heappush(heap, (t_next, base + nxt, "src", epoch, (src, nxt)))
-                self._enqueue(t, Message(Kind.DATA, off, part[off], lane))
+                self._enqueue(t, Message(off, part[off], lane))
             elif kind == "arrive":
                 if not self.failed:
                     self._enqueue(t, data)

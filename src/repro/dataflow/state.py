@@ -14,52 +14,47 @@ from typing import Any, Dict, List, Optional, Tuple
 from .messages import Channel, InstanceId
 
 
-@dataclass
-class CheckpointMeta:
-    """Metadata persisted with every checkpoint.
+@dataclass(slots=True)
+class Checkpoint:
+    """One checkpoint: an instance's snapshot plus its channel counters.
 
     ``last_sent``/``last_recv`` are the per-channel sequence counters at
     snapshot time. They serve three roles (paper §III-B): finding the
     recovery line (orphan detection), choosing the replay interval per
-    channel, and receiver-side deduplication after rollback.
+    channel, and receiver-side deduplication after rollback. A source's
+    Kafka offset is the ``last_recv`` entry of its source channel.
     """
 
     instance: InstanceId
     index: int  #: per-instance checkpoint ordinal (0-based)
     ts: float  #: virtual time the snapshot was taken
-    kind: str  #: "local" | "forced" | "coordinated"
+    kind: str  #: "initial" | "local" | "forced" | "coordinated"
     round_id: Optional[int]  #: COOR round, None otherwise
     state_bytes: int
     last_sent: Dict[Channel, int] = field(default_factory=dict)
     last_recv: Dict[Channel, int] = field(default_factory=dict)
-    source_offset: Optional[int] = None
     duration: float = 0.0  #: modelled checkpointing time for this snapshot
-
-
-@dataclass
-class StoredCheckpoint:
-    meta: CheckpointMeta
-    state: Any  #: copy-on-write snapshot of operator state (or source offset)
+    state: Any = None  #: copy-on-write snapshot of a ``KeyedOp``'s state
 
 
 class CheckpointStore:
     """Durable store of checkpoints, keyed by instance, ordered by index."""
 
     def __init__(self):
-        self._by_instance: Dict[InstanceId, List[StoredCheckpoint]] = {}
+        self._by_instance: Dict[InstanceId, List[Checkpoint]] = {}
 
-    def put(self, cp: StoredCheckpoint) -> None:
-        lst = self._by_instance.setdefault(cp.meta.instance, [])
-        if cp.meta.index != len(lst):
+    def put(self, cp: Checkpoint) -> None:
+        lst = self._by_instance.setdefault(cp.instance, [])
+        if cp.index != len(lst):
             raise ValueError(
-                f"checkpoint index {cp.meta.index} of {cp.meta.instance} is not the next {len(lst)}"
+                f"checkpoint index {cp.index} of {cp.instance} is not the next {len(lst)}"
             )
         lst.append(cp)
 
-    def checkpoints(self, inst: InstanceId) -> List[StoredCheckpoint]:
+    def checkpoints(self, inst: InstanceId) -> List[Checkpoint]:
         return self._by_instance.get(inst, [])
 
-    def get(self, inst: InstanceId, index: int) -> StoredCheckpoint:
+    def get(self, inst: InstanceId, index: int) -> Checkpoint:
         return self._by_instance[inst][index]
 
     def total_count(self) -> int:

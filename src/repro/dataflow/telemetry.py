@@ -6,7 +6,7 @@ recovery bookkeeping, aggregate byte counters and the sink latency log:
 ``core.harness.metrics_row`` flattens them into one metrics row per run;
 keeping per-message data as counters (not rows) bounds memory at
 50-worker scale. A fact another structure already holds is derived from
-it, not counted again: checkpoints are the store's own metadata objects,
+it, not counted again: checkpoints are the store's own records,
 ``n_sinked`` is the latency log's length and ``marker_bytes`` follows
 from the marker count.
 """
@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from .messages import MARKER_BYTES
-from .state import CheckpointMeta
+from .state import Checkpoint
 
 
 @dataclass
@@ -33,9 +33,9 @@ class Telemetry:
 
     #: counted checkpoints (``Protocol.counts_in_totals``, initial ones
     #: excluded), in the order they were taken
-    checkpoints: List[CheckpointMeta] = field(default_factory=list)
-    # COOR rounds: one row per completed round
-    rounds: List[dict] = field(default_factory=list)
+    checkpoints: List[Checkpoint] = field(default_factory=list)
+    #: COOR rounds: one ``(round_id, start, duration)`` per completed round
+    rounds: List[Tuple[int, float, float]] = field(default_factory=list)
     # sink latency log: sink arrival and ingest time of each first arrival
     sink_ts: array = field(default_factory=lambda: array("d"))
     ingest_ts: array = field(default_factory=lambda: array("d"))
@@ -53,11 +53,6 @@ class Telemetry:
     def marker_bytes(self) -> int:
         """Bytes of COOR markers."""
         return self.n_marker_msgs * MARKER_BYTES
-
-    def record_round(self, round_id: int, start: float, end: float, n_snapshots: int) -> None:
-        self.rounds.append(
-            dict(round_id=round_id, start=start, end=end, duration=end - start, n_snapshots=n_snapshots)
-        )
 
     def total_message_bytes(self) -> int:
         return (

@@ -58,7 +58,7 @@ def reachability_graph() -> LogicalGraph:
     g.add_edge(Edge("project", "sink", routing="forward"))
     # the feedback edge: new sources are keyed by their path end-node
     g.add_edge(Edge("project", "cjoin", routing="hash",
-                    key_fn=lambda r: r.value["path"][-1], loop=True))
+                    key_fn=lambda r: r.value["path"][-1]))
     return g.validate()
 
 

@@ -1,11 +1,11 @@
 """Checkpointing-protocol interface (paper §III).
 
 A protocol plugs into the simulator through a small set of hooks that mirror
-where real engines intercept the data plane: start and resume (where
-checkpoint timers and rounds are scheduled through ``sim.call_at``),
-message send, message receive, marker handling, and failure recovery. Each
-concrete protocol also carries the qualitative feature flags that reproduce
-the paper's Table I.
+where real engines intercept the data plane: arming (at start and after
+each resume, where checkpoint timers and rounds are scheduled through
+``sim.call_at``), message send, message receive, marker handling, and
+failure recovery. Each concrete protocol also carries the qualitative
+feature flags that reproduce the paper's Table I.
 """
 from __future__ import annotations
 
@@ -77,11 +77,9 @@ class Protocol:
         self.sim = sim
 
     # -- lifecycle ---------------------------------------------------------
-    def on_start(self) -> None:
-        """Schedule initial timers / the first coordinated round."""
-
     def on_resume(self, t: float) -> None:
-        """Re-arm timers after recovery completes."""
+        """Arm timers / the next coordinated round from ``t``: at 0.0 when
+        the run starts, and at the resume time after recovery."""
 
     # -- data path ---------------------------------------------------------
     def before_process(self, t: float, inst: InstanceId, msg: Message) -> float:

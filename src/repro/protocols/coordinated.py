@@ -6,7 +6,9 @@ outgoing channels; every other operator blocks each channel on which it has
 received the round's marker until markers arrived on *all* inputs, then
 snapshots, forwards markers, and unblocks. Alignment makes the round a
 consistent cut without channel state, so recovery needs no in-flight
-replay and no recovery-line search.
+replay and no recovery-line search. COOR holds only its running round and
+the line of the last completed one, so its state is O(instances) however
+long the run; the store holds each round's checkpoints (``round_id``).
 """
 from __future__ import annotations
 
@@ -30,27 +32,24 @@ class CoordinatedProtocol(Protocol):
     def __init__(self, round_interval: float = 5.0):
         super().__init__()
         self.round_interval = round_interval
+        #: the running round: its id, start time, and members (inst ->
+        #: index of its checkpoint in this round)
         self.round_id = 0
-        #: inst -> the lanes whose marker for the current round arrived;
+        self.round_start = 0.0
+        self.members: Dict[InstanceId, int] = {}
+        #: inst -> the lanes whose marker for the running round arrived;
         #: each stays ``blocked`` until the instance has aligned
         self.aligning: Dict[InstanceId, Set] = {}
-        #: inst -> last round this instance snapshotted
-        self.last_round: Dict[InstanceId, int] = {}
-        #: round -> {inst: checkpoint index}
-        self.round_members: Dict[int, Dict[InstanceId, int]] = {}
-        self.round_start: Dict[int, float] = {}
-        #: id of the last round every participant snapshotted in
+        #: the last round every instance snapshotted in, and its line
+        #: (inst -> checkpoint index); all zeros before any round completed
         self.last_completed: Optional[int] = None
-        self.participants: list = []
+        self.line: Dict[InstanceId, int] = {}
 
     def bind(self, sim) -> None:
         super().bind(sim)
-        self.participants = list(sim.instances)
+        self.line = dict.fromkeys(sim.instances, 0)
 
     # -- round lifecycle ---------------------------------------------------
-    def on_start(self) -> None:
-        self.sim.call_at(self.round_interval, self._start_round)
-
     def on_resume(self, t: float) -> None:
         # an in-flight round died with the failure (the simulator has
         # already released its lanes): reset alignment state
@@ -61,52 +60,46 @@ class CoordinatedProtocol(Protocol):
         if t >= self.sim.horizon:
             return  # workload over: no further rounds, let the run drain
         self.round_id += 1
-        r = self.round_id
-        self.round_members[r] = {}
-        self.round_start[r] = t
+        self.round_start = t
+        self.members = {}
         self.sim.telemetry.proto_msg_bytes += self.ROUND_CTRL_BYTES * self.sim.W
         for inst in self.sim.source_lanes:
             # the coordinator's trigger travels through the worker CPU: on a
             # straggling worker the source's snapshot + markers are delayed
             # behind the backlog (the paper's skew mechanism)
-            self.sim.enqueue_trigger(inst, r)
-        self._maybe_complete(r, t)
+            self.sim.enqueue_trigger(inst, self.round_id)
+        self._maybe_complete(t)
 
-    def _maybe_complete(self, r: int, t: float) -> None:
-        if len(self.round_members[r]) == len(self.participants):
-            end = t + self.sim.cost.store_rtt
-            self.last_completed = r
-            self.sim.telemetry.record_round(
-                r, self.round_start[r], end, len(self.round_members[r])
-            )
+    def _maybe_complete(self, t: float) -> None:
+        if len(self.members) == len(self.sim.instances):
+            start, end = self.round_start, t + self.sim.cost.store_rtt
+            self.last_completed, self.line = self.round_id, self.members
+            self.sim.telemetry.rounds.append((self.round_id, start, end - start))
             self.sim.telemetry.proto_msg_bytes += self.ROUND_CTRL_BYTES * self.sim.W
             # fixed-period rounds (Flink-style): the next round starts one
             # interval after this round *started*, unless the round itself
             # overran the interval (stragglers/skew)
-            self.sim.call_at(
-                max(end, self.round_start[r] + self.round_interval), self._start_round
-            )
+            self.sim.call_at(max(end, start + self.round_interval), self._start_round)
 
     # -- marker handling ---------------------------------------------------
     def on_marker(self, t: float, inst: InstanceId, msg: Message) -> None:
         r = msg.seq  # a marker's or trigger's seq is its round
-        if r <= self.last_round.get(inst, 0) or r != self.round_id:
+        if r != self.round_id or inst in self.members:
             return  # marker of a superseded (pre-failure) round
-        in_lanes = self.sim.in_lanes[inst]
-        if in_lanes:  # a source has none: its coordinator trigger needs no alignment
+        in_lanes = ()
+        if inst not in self.sim.source_lanes:  # a source's trigger needs no alignment
+            in_lanes = self.sim.in_lanes[inst]
             got = self.aligning.setdefault(inst, set())
             got.add(msg.lane)
             msg.lane.blocked = True
             if len(got) < len(in_lanes):
                 return
             del self.aligning[inst]
-        meta = self.sim.take_checkpoint(inst, "coordinated", round_id=r)
-        self.round_members[r][inst] = meta.index
-        self.last_round[inst] = r
+        self.members[inst] = self.sim.take_checkpoint(inst, "coordinated", round_id=r).index
         self.sim.emit_marker(inst, r)
         for lane in in_lanes:
             self.sim.unblock(lane)
-        self._maybe_complete(r, t)
+        self._maybe_complete(t)
 
     def counts_in_totals(self, inst) -> bool:
         """COOR: every aligned participant's snapshot counts (the paper's
@@ -118,12 +111,11 @@ class CoordinatedProtocol(Protocol):
         """Roll every operator back to the last *completed* round (or to the
         initial state if none completed). Aligned cut: no replay, no
         recovery-line search, no invalid checkpoints."""
-        r = self.last_completed
-        members = self.round_members[r] if r is not None else dict.fromkeys(self.participants, 0)
+        instances = self.sim.instances
         return RecoveryPlan(
-            line={inst: members[inst] for inst in self.participants},
+            line={inst: self.line[inst] for inst in instances},
             replay={},
             invalid=0,
-            ckpts_scanned=len(self.participants),
-            info={"round": r},
+            ckpts_scanned=len(instances),
+            info={"round": self.last_completed},
         )

@@ -38,22 +38,22 @@ def channel_counters(
     Sinks are external: they never checkpoint, and the messages in flight
     to them still arrive."""
     for src, x in line.items():
-        for ch, sent in store.get(src, x).meta.last_sent.items():
+        for ch, sent in store.get(src, x).last_sent.items():
             dst = (ch[2], ch[3])
             if dst in line:
-                yield ch, store.get(dst, line[dst]).meta.last_recv.get(ch, 0), sent
+                yield ch, store.get(dst, line[dst]).last_recv.get(ch, 0), sent
 
 
 def find_recovery_line(
     store: CheckpointStore,
     instances: List[InstanceId],
     counted: Iterable[InstanceId],
-) -> Tuple[Dict[InstanceId, int], int, int]:
+) -> Tuple[Dict[InstanceId, int], int]:
     """Compute the recovery line.
 
-    Returns ``(line, invalid_nodes, ckpts_scanned)`` where ``invalid_nodes``
-    is the number of checkpoints newer than the line (the checkpoints that
-    can no longer be part of any consistent recovery line — paper Table III
+    Returns ``(line, invalid_nodes)`` where ``invalid_nodes`` is the
+    number of checkpoints newer than the line (the checkpoints that can no
+    longer be part of any consistent recovery line — paper Table III
     counts these) over the ``counted`` instances.
     """
     latest = {inst: len(store.checkpoints(inst)) - 1 for inst in instances}
@@ -61,8 +61,6 @@ def find_recovery_line(
     while orphans := [(ch, sent) for ch, recv, sent in channel_counters(store, line) if recv > sent]:
         for ch, sent in orphans:
             dst = (ch[2], ch[3])
-            while store.get(dst, line[dst]).meta.last_recv.get(ch, 0) > sent:
+            while store.get(dst, line[dst]).last_recv.get(ch, 0) > sent:
                 line[dst] -= 1
-    invalid = sum(latest[i] - line[i] for i in counted)
-    scanned = sum(latest[i] + 1 for i in instances)
-    return line, invalid, scanned
+    return line, sum(latest[i] - line[i] for i in counted)

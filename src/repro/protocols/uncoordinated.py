@@ -55,12 +55,6 @@ class UncoordinatedProtocol(Protocol):
         for inst in sim.instances:
             self._period[inst] = self.interval * (1.0 + JITTER * (2 * rng.random() - 1))
 
-    def on_start(self) -> None:
-        rng = self.sim.rng
-        for inst, period in self._period.items():
-            first = period * (0.25 + 0.75 * rng.random())
-            self.sim.call_at(first, partial(self._fire, inst))
-
     def on_resume(self, t: float) -> None:
         rng = self.sim.rng
         for inst, period in self._period.items():
@@ -97,7 +91,7 @@ class UncoordinatedProtocol(Protocol):
     def plan_recovery(self, t_detect: float) -> RecoveryPlan:
         sim = self.sim
         instances = list(sim.instances.keys())
-        line, invalid, scanned = find_recovery_line(
+        line, invalid = find_recovery_line(
             sim.store, instances, counted=[i for i in instances if self.counts_in_totals(i)],
         )
         replay = {
@@ -108,5 +102,5 @@ class UncoordinatedProtocol(Protocol):
             line=line,
             replay=replay,
             invalid=invalid,
-            ckpts_scanned=scanned,
+            ckpts_scanned=sim.store.total_count(),
         )

@@ -160,7 +160,7 @@ def checkpoints_frame(tel: Telemetry) -> pd.DataFrame:
 
 
 def rounds_frame(tel: Telemetry) -> pd.DataFrame:
-    cols = ["round_id", "start", "end", "duration", "n_snapshots"]
+    cols = ["round_id", "start", "duration"]
     return pd.DataFrame(tel.rounds, columns=cols)
 
 

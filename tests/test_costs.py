@@ -1,9 +1,14 @@
 """Tests for the virtual-time cost model."""
+from dataclasses import replace
+
 import pytest
 
 from repro.dataflow.costs import SimCost
+from repro.dataflow.simulator import Simulation
 from repro.nexmark.cyclic import reachability_graph
+from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
+from repro.protocols import NoneProtocol
 
 
 class TestSimCost:
@@ -25,12 +30,17 @@ class TestSimCost:
             c.service["source"], c.service["join"], c.service["map"]
         )
 
-    def test_unknown_op_falls_back(self):
-        assert SimCost().op_service("nope") > 0
+    def test_unknown_op_kind_fails_to_build(self):
+        # a misspelt kind has no service time: building fails instead of
+        # charging a made-up cost
+        graph = QUERIES["q1"]()
+        graph.ops["map"] = replace(graph.ops["map"], kind="mapp")
+        topics = topics_for_query("q1", rate=10, duration=1, n_workers=1)
+        with pytest.raises(KeyError, match="mapp"):
+            Simulation(graph, 1, NoneProtocol(), topics)
 
     @pytest.mark.parametrize("gname", [*QUERIES, "cyclic"])
     def test_every_operator_kind_has_a_service_time(self, gname):
-        # a misspelt kind would silently take the fallback
         graph = reachability_graph() if gname == "cyclic" else QUERIES[gname]()
         assert {spec.kind for spec in graph.ops.values()} <= SimCost().service.keys()
 

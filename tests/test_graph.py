@@ -62,17 +62,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="dead end"):
             g.validate()
 
-    def test_unmarked_cycle_rejected(self):
-        g = chain()
-        g.add_op(OperatorSpec("a", "map", factory=Operator))
-        g.add_op(OperatorSpec("b", "map", factory=Operator))
-        g.add_edge(Edge("src", "a"))
-        g.add_edge(Edge("a", "b"))
-        g.add_edge(Edge("b", "a"))  # cycle, not marked loop=True
-        g.add_edge(Edge("b", "sink"))
-        with pytest.raises(ValueError, match="loop=True"):
-            g.validate()
-
 
 class TestCycles:
     def test_chain_acyclic(self):

@@ -9,12 +9,7 @@ from repro.core.config import make_protocol
 from repro.dataflow.kafka_sim import ReplayableLog
 from repro.dataflow.messages import Record
 from repro.dataflow.simulator import Simulation
-from repro.dataflow.state import (
-    CheckpointMeta,
-    CheckpointStore,
-    MessageLog,
-    StoredCheckpoint,
-)
+from repro.dataflow.state import Checkpoint, CheckpointStore, MessageLog
 from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
 
@@ -108,40 +103,40 @@ class TestSourceCursor:
         assert sim.telemetry.n_source_emitted > total
 
 
-def meta(inst, index, ts=0.0, last_sent=None, last_recv=None):
-    return CheckpointMeta(
-        instance=inst, index=index, ts=ts, kind="local", round_id=None,
-        state_bytes=10, last_sent=last_sent or {}, last_recv=last_recv or {},
+def ckpt(inst, index, state=None):
+    return Checkpoint(
+        instance=inst, index=index, ts=0.0, kind="local", round_id=None,
+        state_bytes=10, state=state,
     )
 
 
 class TestCheckpointStore:
     def test_put_get_roundtrip(self):
         st = CheckpointStore()
-        st.put(StoredCheckpoint(meta(("a", 0), 0), state={"x": 1}))
+        st.put(ckpt(("a", 0), 0, state={"x": 1}))
         assert st.get(("a", 0), 0).state == {"x": 1}
 
     def test_dense_indices_enforced(self):
         # a ValueError, not an assert, so that python -O keeps the check
         st = CheckpointStore()
-        st.put(StoredCheckpoint(meta(("a", 0), 0), None))
+        st.put(ckpt(("a", 0), 0))
         for index in (5, 0):  # a gap, a repeat
             with pytest.raises(ValueError, match="not the next 1"):
-                st.put(StoredCheckpoint(meta(("a", 0), index), None))
-        st.put(StoredCheckpoint(meta(("a", 0), 1), None))
+                st.put(ckpt(("a", 0), index))
+        st.put(ckpt(("a", 0), 1))
         assert len(st.checkpoints(("a", 0))) == 2
 
     def test_checkpoints_in_index_order(self):
         st = CheckpointStore()
-        st.put(StoredCheckpoint(meta(("a", 0), 0), None))
-        st.put(StoredCheckpoint(meta(("a", 0), 1), None))
-        assert [cp.meta.index for cp in st.checkpoints(("a", 0))] == [0, 1]
+        st.put(ckpt(("a", 0), 0))
+        st.put(ckpt(("a", 0), 1))
+        assert [cp.index for cp in st.checkpoints(("a", 0))] == [0, 1]
         assert st.checkpoints(("b", 0)) == []
 
     def test_counts(self):
         st = CheckpointStore()
-        st.put(StoredCheckpoint(meta(("a", 0), 0), None))
-        st.put(StoredCheckpoint(meta(("b", 1), 0), None))
+        st.put(ckpt(("a", 0), 0))
+        st.put(ckpt(("b", 1), 0))
         assert st.total_count() == 2
 
 

@@ -3,7 +3,6 @@ from repro.dataflow.messages import (
     CKPT_META_BYTES,
     MARKER_BYTES,
     PAYLOAD_BYTES,
-    Kind,
     Message,
     Record,
     payload_bytes_for,
@@ -57,7 +56,6 @@ class TestPayloadBytes:
 class TestMessage:
     def _msg(self, proto=0):
         return Message(
-            kind=Kind.DATA,
             seq=5,
             record=_rec(),
             lane=None,
@@ -78,17 +76,17 @@ class TestMessage:
         on_marker = proto.on_marker
 
         def record(t, inst, msg):
-            seen.append((inst, msg.kind, msg.seq, proto.round_id, msg.proto_bytes))
+            seen.append((inst, msg.record, msg.seq, proto.round_id, msg.proto_bytes))
             on_marker(t, inst, msg)
 
         proto.on_marker = record
         sim.run(6.0)
         assert proto.round_id > 1
         assert {seq for _, _, seq, _, _ in seen} == set(range(1, proto.round_id + 1))
-        for inst, kind, seq, running, n_bytes in seen:
-            assert kind is Kind.MARKER and seq == running
-            # a trigger reaches a source, which has no in-lanes
-            assert n_bytes == (MARKER_BYTES if sim.in_lanes[inst] else 0)
+        for inst, record, seq, running, n_bytes in seen:
+            assert record is None and seq == running
+            # a source receives its coordinator's trigger, which has no bytes
+            assert n_bytes == (0 if inst in sim.source_lanes else MARKER_BYTES)
 
     def test_marker_and_meta_sizes_positive(self):
         assert MARKER_BYTES > 0 and CKPT_META_BYTES > 0

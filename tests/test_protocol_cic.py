@@ -3,7 +3,7 @@ import pytest
 
 from helpers import cyclic_workload, run_cyclic, run_query
 from repro.dataflow.kafka_sim import ReplayableLog
-from repro.dataflow.messages import Kind, Message
+from repro.dataflow.messages import Message
 from repro.dataflow.simulator import Simulation
 from repro.nexmark.cyclic import reachability_graph
 from repro.nexmark.generator import topics_for_query
@@ -99,14 +99,14 @@ class TestForcedCheckpoints:
         st = proto.states[inst]
         st.sent_to = 1 << s  # we previously sent to the sender
         msg = Message(
-            kind=Kind.DATA, lane=sim.lanes[CH], seq=1,
+            lane=sim.lanes[CH], seq=1,
             record=None,
             piggyback=(st.clock + 3, st.ckpt, 0, 0, s),
         )
         before = len(sim.store.checkpoints(inst))
         proto.before_process(0.5, inst, msg)
         assert len(sim.store.checkpoints(inst)) == before + 1
-        assert sim.store.checkpoints(inst)[-1].meta.kind == "forced"
+        assert sim.store.checkpoints(inst)[-1].kind == "forced"
 
     def test_no_force_without_condition(self):
         sim = cic_sim("q12")
@@ -115,7 +115,7 @@ class TestForcedCheckpoints:
         sender = ("src_bids", 1)
         s = proto.inst_index[sender]
         msg = Message(
-            kind=Kind.DATA, lane=sim.lanes[CH], seq=1,
+            lane=sim.lanes[CH], seq=1,
             record=None,
             piggyback=(proto.states[inst].clock + 3, proto.states[inst].ckpt, 0, 0, s),
         )
@@ -131,7 +131,7 @@ class TestForcedCheckpoints:
         sender = ("src_bids", 1)
         s = proto.inst_index[sender]
         msg = Message(
-            kind=Kind.DATA, lane=sim.lanes[CH], seq=1,
+            lane=sim.lanes[CH], seq=1,
             record=None,
             piggyback=(proto.states[inst].clock + 1, proto.states[inst].ckpt, 1 << me, 0, s),
         )
@@ -146,7 +146,7 @@ class TestForcedCheckpoints:
         sender = ("src_bids", 1)
         s = proto.inst_index[sender]
         msg = Message(
-            kind=Kind.DATA, lane=sim.lanes[CH], seq=1,
+            lane=sim.lanes[CH], seq=1,
             record=None,
             piggyback=(7, proto.states[inst].ckpt, 0, 0, s),
         )
@@ -161,7 +161,7 @@ class TestForcedCheckpoints:
         s = proto.inst_index[sender]
         other = tuple(3 if i == s else 0 for i in range(proto.n_instances))
         msg = Message(
-            kind=Kind.DATA, lane=sim.lanes[CH], seq=1,
+            lane=sim.lanes[CH], seq=1,
             record=None,
             piggyback=(1, other, 0, 0, s),
         )
@@ -181,7 +181,7 @@ class TestForcedCheckpoints:
             # tuple(list) takes an exact-size tuple, typically the one
             # freed in the previous iteration
             msg = Message(
-                kind=Kind.DATA, lane=sim.lanes[CH], seq=1,
+                lane=sim.lanes[CH], seq=1,
                 record=None, piggyback=(0, tuple(ck), 0, 0, s),
             )
             proto.before_process(0.5, inst, msg)
@@ -190,8 +190,7 @@ class TestForcedCheckpoints:
 
     def test_replayed_message_without_piggyback_is_safe(self):
         sim = cic_sim("q12")
-        msg = Message(kind=Kind.DATA, lane=sim.lanes[CH],
-                      seq=1, record=None, piggyback=None)
+        msg = Message(lane=sim.lanes[CH], seq=1, record=None, piggyback=None)
         assert sim.protocol.before_process(0.5, ("wincount", 0), msg) == 0.0
 
 

@@ -6,7 +6,7 @@ from typing import Dict, List
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.state import CheckpointMeta, CheckpointStore, StoredCheckpoint
+from repro.dataflow.state import Checkpoint, CheckpointStore
 from repro.protocols.recovery import find_recovery_line
 
 
@@ -35,13 +35,12 @@ class Builder:
     def checkpoint(self, op: str):
         inst = (op, 0)
         idx = len(self.store.checkpoints(inst))
-        meta = CheckpointMeta(
+        self.store.put(Checkpoint(
             instance=inst, index=idx, ts=float(idx), kind="local", round_id=None,
             state_bytes=0,
             last_sent={ch: self.sent[ch] for ch in self.out[inst]},
             last_recv={ch: self.recv[ch] for ch in self.inn[inst]},
-        )
-        self.store.put(StoredCheckpoint(meta, None))
+        ))
 
     def line(self):
         return find_recovery_line(self.store, self.insts, self.insts)
@@ -49,8 +48,8 @@ class Builder:
     def consistent(self, line: Dict[tuple, int]) -> bool:
         """No channel received more than its sender had sent (no orphan)."""
         return all(
-            self.store.get((ch[2], ch[3]), line[ch[2], ch[3]]).meta.last_recv[ch]
-            <= self.store.get((ch[0], ch[1]), line[ch[0], ch[1]]).meta.last_sent[ch]
+            self.store.get((ch[2], ch[3]), line[ch[2], ch[3]]).last_recv[ch]
+            <= self.store.get((ch[0], ch[1]), line[ch[0], ch[1]]).last_sent[ch]
             for ch in self.channels
         )
 
@@ -59,15 +58,15 @@ class TestSimpleScenarios:
     def test_no_traffic_latest_line(self):
         b = Builder(["A", "B"], [("A", "B")])
         b.checkpoint("A"); b.checkpoint("B")
-        line, invalid, scanned = b.line()
+        line, invalid = b.line()
         assert line == {("A", 0): 1, ("B", 0): 1}
-        assert invalid == 0 and scanned == 4
+        assert invalid == 0
 
     def test_clean_cut_latest_line(self):
         b = Builder(["A", "B"], [("A", "B")])
         b.send("A", "B", 5); b.deliver("A", "B", 5)
         b.checkpoint("A"); b.checkpoint("B")
-        line, invalid, _ = b.line()
+        line, invalid = b.line()
         assert line == {("A", 0): 1, ("B", 0): 1} and invalid == 0
 
     def test_orphan_rolls_receiver_back(self):
@@ -75,7 +74,7 @@ class TestSimpleScenarios:
         b.checkpoint("A")        # A ckpt1: sent=0
         b.send("A", "B", 3); b.deliver("A", "B", 3)
         b.checkpoint("B")        # B ckpt1: recv=3 > A.ckpt1.sent=0 -> orphan
-        line, invalid, _ = b.line()
+        line, invalid = b.line()
         assert line == {("A", 0): 1, ("B", 0): 0}
         assert invalid == 1
 
@@ -84,7 +83,7 @@ class TestSimpleScenarios:
         b.send("A", "B", 3); b.deliver("A", "B", 3)
         b.checkpoint("B")        # recv=3
         b.checkpoint("A")        # sent=3 >= recv -> consistent
-        line, invalid, _ = b.line()
+        line, invalid = b.line()
         assert line == {("A", 0): 1, ("B", 0): 1} and invalid == 0
 
     def test_domino_chain(self):
@@ -94,7 +93,7 @@ class TestSimpleScenarios:
         b.checkpoint("B")  # orphan wrt A ckpt1 - but B->C also cascades:
         b.send("B", "C"); b.deliver("B", "C")
         b.checkpoint("C")  # orphan wrt B ckpt1
-        line, invalid, _ = b.line()
+        line, invalid = b.line()
         assert line == {("A", 0): 1, ("B", 0): 0, ("C", 0): 0}
         assert invalid == 2
 
@@ -105,7 +104,7 @@ class TestSimpleScenarios:
         b.checkpoint("B")
         b.send("B", "A"); b.deliver("B", "A")
         b.checkpoint("A")  # A ckpt2 saw B's post-ckpt... build z-pattern
-        line, invalid, _ = b.line()
+        line, invalid = b.line()
         # B->A orphans A2, then A1 no longer covers B1's receive
         assert line == {("A", 0): 1, ("B", 0): 0}
         assert invalid == 2
@@ -114,7 +113,7 @@ class TestSimpleScenarios:
         b = Builder(["A", "B"], [("A", "B")])
         # traffic but no real checkpoints at all: line = initial everywhere
         b.send("A", "B", 4); b.deliver("A", "B", 4)
-        line, invalid, _ = b.line()
+        line, invalid = b.line()
         assert line == {("A", 0): 0, ("B", 0): 0} and invalid == 0
 
 
@@ -154,7 +153,7 @@ class TestRollbackPropagationProperties:
     @settings(max_examples=300, deadline=None)
     @given(execution(min_steps=10))
     def test_line_is_consistent_and_maximal_enough(self, b):
-        line, invalid, scanned = b.line()
+        line, invalid = b.line()
         # 1. a valid index per instance
         for inst in b.insts:
             assert 0 <= line[inst] < len(b.store.checkpoints(inst))
@@ -171,7 +170,7 @@ class TestRollbackPropagationProperties:
         """Consistent lines form a lattice, so the recovery line must be its
         unique maximum: every consistent candidate line is at or below it
         in each component."""
-        line, _, _ = b.line()
+        line, _ = b.line()
         counts = [len(b.store.checkpoints(i)) for i in b.insts]
         for idx in product(*(range(n) for n in counts)):
             cand = dict(zip(b.insts, idx))

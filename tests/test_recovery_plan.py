@@ -14,13 +14,13 @@ CELLS = [(q, p) for q in ("q3", "q8", "q12", "cyclic") for p in ("UNC", "CIC")]
 @lru_cache(maxsize=None)
 def planned(query: str, protocol: str):
     """Run the cell with a failure; return every instance's checkpoint
-    metadata at plan time, the instances Table III counts, and the plan."""
+    records at plan time, the instances Table III counts, and the plan."""
     sim = cyclic_sim(protocol) if query == "cyclic" else query_sim(query, protocol)
     proto, seen = sim.protocol, {}
     plan_recovery = proto.plan_recovery
 
     def plan(t):
-        seen["metas"] = {i: [cp.meta for cp in sim.store.checkpoints(i)] for i in sim.instances}
+        seen["metas"] = {i: list(sim.store.checkpoints(i)) for i in sim.instances}
         seen["counted"] = [i for i in sim.instances if proto.counts_in_totals(i)]
         seen["plan"] = plan_recovery(t)
         return seen["plan"]

@@ -67,7 +67,7 @@ class TestBasicExecution:
     def test_initial_checkpoints_stored_for_all_instances(self):
         sim = tiny(w=3)
         assert sim.store.total_count() == 3 * 2  # src + map, 3 workers
-        assert all(sim.store.get(i, 0).meta.kind == "initial" for i in sim.instances)
+        assert all(sim.store.get(i, 0).kind == "initial" for i in sim.instances)
 
 
 class TestChannelFifo:
@@ -109,8 +109,8 @@ class TestChannelLists:
             ch = ln.ch
             assert ln in sim.out_lanes[(ch[0], ch[1])], ch
             assert ln in sim.in_lanes[(ch[2], ch[3])], ch
-            assert ch in sim.store.get((ch[0], ch[1]), 0).meta.last_sent, ch
-            assert ch in sim.store.get((ch[2], ch[3]), 0).meta.last_recv, ch
+            assert ch in sim.store.get((ch[0], ch[1]), 0).last_sent, ch
+            assert ch in sim.store.get((ch[2], ch[3]), 0).last_recv, ch
 
 
 class TestFailureFree:
@@ -198,7 +198,7 @@ class TestDerivedRecords:
         )
         assert {m.instance for m in taken} <= set(insts)
         for inst in insts:
-            stored = [cp.meta for cp in res.store.checkpoints(inst)]
+            stored = res.store.checkpoints(inst)
             assert [m.kind == "initial" for m in stored] == [True] + [False] * (len(stored) - 1)
             expected = stored[1:] if proto.counts_in_totals(inst) else []
             mine = [m for m in taken if m.instance == inst]
@@ -227,11 +227,10 @@ class TestSourceScheduling:
         # the round-1 source checkpoint
         sim = Simulation(QUERIES["q1"](), 1, CoordinatedProtocol(round_interval=5.0),
                          _bids([1.0, 2.0, 5.0, 6.0]))
-        sim.run(8.0)
-        assert sim.protocol.round_start[1] == 5.0
-        src = ("src_bids", 0)
-        cp = sim.store.get(src, sim.protocol.round_members[1][src])
-        assert cp.meta.source_offset == 3
+        res = sim.run(8.0)
+        assert res.telemetry.rounds[0][:2] == (1, 5.0)
+        [cp] = [cp for cp in sim.store.checkpoints(("src_bids", 0)) if cp.round_id == 1]
+        assert cp.last_recv[("__src__", 0, "src_bids", 0)] == 3
 
     def test_heap_stays_bounded_before_and_after_resume(self):
         # COOR replays nothing, so after resume the heap holds source
@@ -249,12 +248,11 @@ class TestSourceScheduling:
 
         resume = sim.protocol.on_resume
 
-        def on_resume(t):
+        def on_resume(t):  # arming at start and at resume: (re)start sampling
             resume(t)
             sample(t)
 
         sim.protocol.on_resume = on_resume
-        sim.call_at(0.0, sample)
         res = sim.run(20.0, fail_at=6.0)
         assert len(res.sink_values()) == n_records
         for phase, sizes in peaks.items():
@@ -284,11 +282,17 @@ class TestLanes:
             return seen["plan"]
 
         def resume(t):
+            if "plan" not in seen:  # arming at t = 0, before any failure
+                return on_resume(t)
             t_fail = sim.telemetry.recovery["t_fail"]
-            for inst, idx in seen["plan"].line.items():
-                meta = sim.store.get(inst, idx).meta
-                assert {ch: sim.lanes[ch].sent for ch in meta.last_sent} == meta.last_sent
-                assert {ch: sim.lanes[ch].recv for ch in meta.last_recv} == meta.last_recv
+            line = seen["plan"].line
+            for inst, idx in line.items():
+                cp = sim.store.get(inst, idx)
+                assert {ch: sim.lanes[ch].sent for ch in cp.last_sent} == cp.last_sent
+                assert {ch: sim.lanes[ch].recv for ch in cp.last_recv} == cp.last_recv
+            # a source's offset is its source lane's counter in the checkpoint
+            for inst, lane in sim.source_lanes.items():
+                assert lane.recv == sim.store.get(inst, line[inst]).last_recv[lane.ch]
             assert all(m.arr > t_fail for ln in sim.lanes.values() for m in ln.q)
             seen["resumed"] = True
             on_resume(t)
