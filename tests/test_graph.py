@@ -62,6 +62,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="dead end"):
             g.validate()
 
+    def test_cycle_accepted(self):
+        # a feedback edge needs no flag: validate() accepts a cycle as it is
+        g = chain()
+        g.add_op(OperatorSpec("a", "map", factory=Operator))
+        g.add_op(OperatorSpec("b", "map", factory=Operator))
+        g.add_edge(Edge("src", "a"))
+        g.add_edge(Edge("a", "b"))
+        g.add_edge(Edge("b", "a"))
+        g.add_edge(Edge("b", "sink"))
+        assert g.has_cycle()
+        assert g.validate() is g
+
 
 class TestCycles:
     def test_chain_acyclic(self):
