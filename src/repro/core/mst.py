@@ -36,8 +36,9 @@ def measure_mst(query: str, protocol: str, workers: int) -> float:
     res = build(cfg).run(cfg.duration)
     # failure-free, so every topic record is emitted exactly once
     total = res.telemetry.n_source_emitted
-    # drain rate up to the *last sink arrival* — res.duration can be
-    # inflated by a pending (no-op) protocol timer event past the horizon
+    # drain rate up to the *last sink arrival*: res.duration is the later of
+    # that and the last event, which can be a protocol timer that fires
+    # after the output has drained and does nothing
     t_end = max(res.telemetry.sink_ts, default=res.duration)
     return total / max(t_end, 1e-9)
 

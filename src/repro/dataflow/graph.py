@@ -10,18 +10,19 @@ Routing on an edge is one of:
 - ``forward``  — instance i sends to instance i of the downstream operator
   (chain pipelines, no shuffle; NexMark Q1).
 - ``hash``     — key-hash partitioning across all downstream instances
-  (shuffles; joins/aggregations).
+  (shuffles; joins/aggregations): instance ``stable_hash(key) % W``, where
+  the key is ``key_fn(record)``, or ``record.key`` without a ``key_fn``.
 
 An edge's ``broadcast_pred`` sends the records it accepts to every
-downstream instance instead. COOR markers need no routing mode: they go
-out on every non-sink channel the simulator lists for the sender.
+downstream instance instead. An edge into a sink has one channel per
+sender and ignores both. The simulator's routing tables implement these
+rules. COOR markers need no routing mode: they go out on every non-sink
+channel the simulator lists for the sender.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
-
-from .messages import stable_hash
 
 
 @dataclass(frozen=True)
@@ -36,15 +37,6 @@ class Edge:
     #: events must reach every join instance because derived sources are
     #: partitioned by path end-node, not by source id)
     broadcast_pred: Optional[Callable[[Any], bool]] = None
-
-    def route(self, record, src_idx: int, n_workers: int) -> List[int]:
-        """Destination instance indices for ``record`` sent by ``src_idx``."""
-        if self.broadcast_pred is not None and self.broadcast_pred(record):
-            return list(range(n_workers))
-        if self.routing == "forward":
-            return [src_idx]
-        key = self.key_fn(record) if self.key_fn else record.key
-        return [stable_hash(key) % n_workers]
 
 
 @dataclass

@@ -113,7 +113,9 @@ class KeyedOp(Operator):
     watermark ``max_window`` and evicts the windows ``EVICT_HORIZON``
     behind it, and a record for an evicted window is dropped as late. An
     unbounded window puts every record in window 0, so nothing is evicted.
-    A snapshot is ``(tables, max_window)``.
+    A snapshot is ``(tables, max_window)``. ``nbytes`` is the modelled state
+    size, kept running: every insert, delete and eviction updates it, and
+    ``restore`` recomputes it by :meth:`_scan_bytes`.
     """
 
     EVICT_HORIZON = 2
@@ -124,6 +126,7 @@ class KeyedOp(Operator):
         self.tables: Dict[Tuple[int, int], Dict[Any, Any]] = {}
         self.max_window = -1
         self._base: Dict[Tuple[int, int], Dict[Any, Any]] = {}  #: tables last shared
+        self.nbytes = 0
 
     def _own(self, tid: Tuple[int, int], key: Any) -> Any:
         """The slot ``tables[tid][key]``, safe to write: a slot the base
@@ -142,7 +145,8 @@ class KeyedOp(Operator):
         if w > self.max_window:
             self.max_window = w
             for tid in [t for t in self.tables if t[0] <= w - self.EVICT_HORIZON]:
-                del self.tables[tid]
+                table = self.tables.pop(tid)
+                self.nbytes -= self.ENTRY_BYTES * sum(len(slot) for slot in table.values())
         elif w <= self.max_window - self.EVICT_HORIZON:
             return None
         return w
@@ -155,11 +159,15 @@ class KeyedOp(Operator):
         self.tables = {tid: dict(t) for tid, t in snap[0].items()}
         self.max_window = snap[1]
         self._base = snap[0]
+        self.nbytes = self._scan_bytes()
 
-    def state_bytes(self) -> int:
+    def _scan_bytes(self) -> int:
         return self.ENTRY_BYTES * sum(
             len(slot) for t in self.tables.values() for slot in t.values()
         )
+
+    def state_bytes(self) -> int:
+        return self.nbytes
 
 
 class JoinOp(KeyedOp):
@@ -192,6 +200,7 @@ class JoinOp(KeyedOp):
         if record.uid in self.tables.setdefault(tid, {}).setdefault(record.key, {}):
             return []  # replayed duplicate
         self._own(tid, record.key)[record.uid] = record.value
+        self.nbytes += self.ENTRY_BYTES
         out: List[Record] = []
         for ov in self.tables.get((w, 1 - side), {}).get(record.key, {}).values():
             lv, rv = (ov, record.value) if side else (record.value, ov)
@@ -231,6 +240,7 @@ class WindowCountOp(KeyedOp):
             return []
         slot = self._own((w, 0), record.key)
         slot.add(record.uid)
+        self.nbytes += self.ENTRY_BYTES
         count = len(slot)
         return [
             Record(
@@ -255,6 +265,11 @@ class WindowCountOp(KeyedOp):
 _LINKS, _SOURCES = (0, 0), (0, 1)  #: CyclicJoinOp's two tables
 
 
+def _source_bytes(path: Tuple) -> int:
+    """Modelled bytes of one discovered source with this path."""
+    return len(path) * 4 + 16
+
+
 class CyclicJoinOp(KeyedOp):
     """The reachability query's stateful join.
 
@@ -266,8 +281,11 @@ class CyclicJoinOp(KeyedOp):
     every link or source affected from its state"); an index from source id
     to its entries, rebuilt on restore and never snapshotted, makes a
     source delete cost its own entries only. Slots a delete empties stay in
-    place.
+    place. A link takes ``LINK_BYTES`` and a source ``_source_bytes`` of
+    its path.
     """
+
+    LINK_BYTES = 24
 
     def __init__(self, link_op: str):
         super().__init__()
@@ -297,22 +315,26 @@ class CyclicJoinOp(KeyedOp):
             if v["op"] == "del_link":
                 if link in links.get(v["u"], ()):
                     del self._own(_LINKS, v["u"])[link]
+                    self.nbytes -= self.LINK_BYTES
                 return []
             if link in links.setdefault(v["u"], {}):
                 return []
             self._own(_LINKS, v["u"])[link] = None
+            self.nbytes += self.LINK_BYTES
             for st in sources.get(v["u"], {}):
                 out.append(self._pair_record(st, link, record.ingest_ts))
         else:  # source events: fresh sources, recursive sources, or deletes
             if v["op"] == "del_source":
                 for st in self._by_src.pop(v["s"], ()):
                     del self._own(_SOURCES, st[1][-1])[st]
+                    self.nbytes -= _source_bytes(st[1])
                 return []
             st = (v["s"], tuple(v["path"]))
             end = st[1][-1]
             if st in sources.setdefault(end, {}):
                 return []
             self._own(_SOURCES, end)[st] = None
+            self.nbytes += _source_bytes(st[1])
             self._by_src.setdefault(st[0], {})[st] = None
             for link in links.get(end, {}):
                 out.append(self._pair_record(st, link, record.ingest_ts))
@@ -325,12 +347,12 @@ class CyclicJoinOp(KeyedOp):
             for st in slot:
                 self._by_src.setdefault(st[0], {})[st] = None
 
-    def state_bytes(self) -> int:
+    def _scan_bytes(self) -> int:
         n_links = sum(len(v) for v in self.tables[_LINKS].values())
         n_src = sum(
-            len(path) * 4 + 16 for slot in self.tables[_SOURCES].values() for (_, path) in slot
+            _source_bytes(path) for slot in self.tables[_SOURCES].values() for (_, path) in slot
         )
-        return 24 * n_links + n_src
+        return self.LINK_BYTES * n_links + n_src
 
     def state_fingerprint(self) -> Any:
         return (_canon(self.tables[_LINKS]), _canon(self.tables[_SOURCES]))

@@ -18,9 +18,9 @@ Execution model (all virtual time, deterministic given the config):
 - COOR markers travel in-stream and therefore queue behind data backlog —
   the mechanism behind the paper's straggler/skew findings.
 - A failure clears all worker-resident state and in-flight worker-to-worker
-  messages (epoch bump); messages already sent toward the external sink
-  still arrive. Recovery restores the protocol's recovery line, rewinds
-  source offsets, replays logged in-flight messages, and resumes.
+  messages; messages already sent toward the external sink still arrive.
+  Recovery restores the protocol's recovery line, rewinds source offsets,
+  replays logged in-flight messages, and resumes.
 
 Event-loop mechanics (wall-clock cost only; virtual-time results are
 fixed by the rules above):
@@ -31,9 +31,10 @@ fixed by the rules above):
   ``arrive`` (a message reaches its lane), ``proc`` (a worker finishes a
   dispatch) and ``call`` (a callback from :meth:`Simulation.call_at`:
   protocol timers, the re-dispatch of a worker after a snapshot charge,
-  and the failure, its detection and the resume). Every event carries the
-  epoch it was scheduled in, and only the failure bumps the epoch, so the
-  failure drops everything scheduled before it. A message to the external
+  and the failure, its detection and the resume). An event is the tuple
+  ``(t, counter, kind, data)``. The failure empties the heap in place, so
+  it drops everything scheduled before it; the detection it schedules
+  next is the first event after it. A message to the external
   sink is recorded, one latency later, when its ``proc`` event pops: these
   pop in time order, nothing reads the sink during the run, and a failure
   does not stop what was sent to it.
@@ -58,8 +59,11 @@ fixed by the rules above):
   receiver (instance id, operator object, service time, routing table,
   source partition, to-sink flag). Channel tuples (``lane.ch``) remain only
   as the keys of checkpoint counters and the message log. A routing table
-  gives, per outgoing edge, the fixed target lane (sink and forward edges)
-  or the lane per target index. Messages carry their lane and the
+  is the only routing code: per outgoing edge it holds the fixed target
+  lane (sink and forward edges), the lane per target index, the hash key
+  function and the broadcast predicate. ``_emit`` sends a record to every
+  target when the predicate accepts it, else to the fixed lane, else to
+  ``targets[stable_hash(key) % W]``. Messages carry their lane and the
   per-worker head heaps hold lanes keyed ``(arrival, counter, lane)`` with
   unique counters, so the per-message path hashes no channel tuple and
   never compares a lane. Each ready lane has exactly one head-heap entry,
@@ -96,6 +100,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
@@ -111,12 +116,14 @@ from .messages import (
     Message,
     Record,
     payload_bytes_for,
+    stable_hash,
 )
 from .state import Checkpoint, CheckpointStore, MessageLog
 from .telemetry import Telemetry
 
 _SRC = "__src__"
 _COORD = "__coord__"
+_record_key = attrgetter("key")  #: a hash edge's key when it has no ``key_fn``
 
 
 @contextmanager
@@ -227,25 +234,29 @@ class Simulation:
         #: every lane each instance sends / receives on, in edge order
         self.out_lanes: Dict[InstanceId, List[_Lane]] = {i: [] for i in self.instances}
         self.in_lanes: Dict[InstanceId, List[_Lane]] = {i: [] for i in self.instances}
-        #: inst -> ((edge, fixed target lanes or None, lane per target
-        #: index), ...) over the op's outgoing edges; targets are fixed on
-        #: sink edges and plain forward edges, else ``edge.route`` picks
+        #: inst -> ((broadcast predicate, fixed target lanes, lane per
+        #: target index, hash key function), ...) over the op's outgoing
+        #: edges. The targets are fixed on sink and forward edges; the
+        #: predicate is None on sink edges and on edges without one
         routes: Dict[InstanceId, list] = {i: [] for i in self.instances}
         for e in graph.edges:
-            forward = e.routing == "forward" and e.broadcast_pred is None
+            to_sink = e.dst in self.sinks
+            bcast = None if to_sink else e.broadcast_pred
             for i in range(n_workers):
                 fixed = targets = None
-                if e.dst in self.sinks:
+                if to_sink:
                     fixed = (lane((e.src, i, e.dst, 0)),)
-                elif forward:
+                elif e.routing == "forward" and bcast is None:
                     fixed = (lane((e.src, i, e.dst, i)),)
                 else:
                     targets = tuple(lane((e.src, i, e.dst, j)) for j in range(n_workers))
-                for ln in fixed or targets:
+                    if e.routing == "forward":
+                        fixed = (targets[i],)
+                for ln in targets or fixed:
                     if not ln.to_sink:
                         self.in_lanes[ln.inst].append(ln)
-                self.out_lanes[(e.src, i)].extend(fixed or targets)
-                routes[(e.src, i)].append((e, fixed, targets))
+                self.out_lanes[(e.src, i)].extend(targets or fixed)
+                routes[(e.src, i)].append((bcast, fixed, targets, e.key_fn or _record_key))
         #: source instance -> its source lane, whose ``recv`` is the offset;
         #: it is the source's one in-lane, so checkpoints record the offset
         self.source_lanes: Dict[InstanceId, _Lane] = {}
@@ -266,7 +277,6 @@ class Simulation:
         self.heap: list = []
         self._counter = 0
         self.now = 0.0
-        self.epoch = 0
         self.failed = False
         #: virtual time after which protocols stop scheduling new timers /
         #: rounds, so the event loop can drain to quiescence (set in run())
@@ -285,9 +295,10 @@ class Simulation:
     # ------------------------------------------------------------------ util
     def call_at(self, t: float, fn: Callable[[float], None]) -> None:
         """Schedule ``fn(t)`` at virtual time ``t`` (not before now); it is
-        dropped if a failure bumps the epoch first."""
+        dropped if a failure happens first, because the failure empties
+        the heap."""
         self._counter += 1
-        heapq.heappush(self.heap, (max(t, self.now), self._counter, "call", self.epoch, fn))
+        heapq.heappush(self.heap, (max(t, self.now), self._counter, "call", fn))
 
     def enqueue_trigger(self, inst: InstanceId, round_id: int) -> None:
         """Enqueue a coordinator trigger as an in-stream pseudo-message.
@@ -314,14 +325,14 @@ class Simulation:
         if start < len(part):
             src = (lane, part, base, t_floor)
             key = max(part[start].ingest_ts, t_floor)
-            heapq.heappush(self.heap, (key, base + start, "src", self.epoch, (src, start)))
+            heapq.heappush(self.heap, (key, base + start, "src", (src, start)))
 
     # --------------------------------------------------------- channel plumb
     def _enqueue(self, t: float, msg: Message) -> None:
         lane = msg.lane
         w = lane.w
-        if (not self.heads[w] and self.current[w] is None and self.busy_until[w] <= t
-                and not lane.blocked and not self.failed):
+        free = self.current[w] is None and self.busy_until[w] <= t and not self.failed
+        if free and not self.heads[w] and not lane.blocked:
             self._start(w, lane, msg, t)  # direct dispatch
             return
         msg.arr = t
@@ -330,7 +341,8 @@ class Simulation:
             lane.ready = True
             heapq.heappush(self.heads[w], (t, self._counter, lane))
             self._counter += 1
-            self._dispatch(w, t)
+            if free:
+                self._dispatch(w, t)
 
     def unblock(self, lane: _Lane) -> None:
         """Called by COOR when alignment completes for a lane."""
@@ -397,7 +409,7 @@ class Simulation:
         self._outbox = None
         self.busy_until[w] = done = t + (service + self._extra_service + self._send_cost)
         self._counter += 1
-        heapq.heappush(self.heap, (done, self._counter, "proc", self.epoch, w))
+        heapq.heappush(self.heap, (done, self._counter, "proc", w))
         return True
 
     def _emit(self, t: float, lane: _Lane, rec: Record) -> None:
@@ -405,8 +417,14 @@ class Simulation:
         inst, outbox, on_send = lane.inst, self._outbox, self.protocol.on_send
         payload = payload_bytes_for(rec)
         per_byte, send, n, piggyback = self.cost.serialize_per_byte, self._send_cost, 0, 0
-        for edge, fixed, targets in lane.routes:
-            for out in fixed or [targets[j] for j in edge.route(rec, inst[1], self.W)]:
+        for bcast, fixed, targets, key_fn in lane.routes:
+            if bcast is not None and bcast(rec):
+                outs = targets
+            elif fixed is not None:
+                outs = fixed
+            else:
+                outs = (targets[stable_hash(key_fn(rec)) % self.W],)
+            for out in outs:
                 out.sent += 1
                 msg = Message(out.sent, rec, out)
                 on_send(t, inst, msg)
@@ -480,18 +498,22 @@ class Simulation:
 
     # -------------------------------------------------------------- failures
     def _fail(self, t: float) -> None:
-        """The failure: the only place the epoch changes, so every event
-        scheduled before it turns stale, sink arrivals excepted."""
+        """The failure: every pending event was scheduled before it, so
+        emptying the heap drops them all. Messages already sent to the
+        external sink still arrive: ``_loop`` recorded them when their
+        ``proc`` popped. The heap and worker lists are emptied in place,
+        because ``_loop`` holds the heap."""
         self.failed = True
-        self.epoch += 1
+        self.heap.clear()
         for lane in self.lanes.values():
             lane.q.clear()
             # an in-flight COOR round dies with the failure: nothing
             # dispatches before recovery resumes, so no lane stays held
             lane.ready = lane.blocked = False
-        self.heads = [[] for _ in range(self.W)]
-        self.current = [None] * self.W
-        self.busy_until = [t] * self.W
+        for heads in self.heads:
+            heads.clear()
+        self.current[:] = [None] * self.W
+        self.busy_until[:] = [t] * self.W
         self.telemetry.recovery["t_fail"] = t
         self.call_at(t + self.cost.detect_delay, self._detect)
 
@@ -536,8 +558,7 @@ class Simulation:
                 k += 1
                 self._counter += 1
                 msg = Message(seq, rec, lane)
-                heapq.heappush(self.heap, (t + latency + k * 1e-7, self._counter, "arrive",
-                                           self.epoch, msg))
+                heapq.heappush(self.heap, (t + latency + k * 1e-7, self._counter, "arrive", msg))
         self.telemetry.recovery["t_resume"] = t
         self.protocol.on_resume(t)
 
@@ -600,10 +621,8 @@ class Simulation:
             pops += 1
             if pops > max_events:
                 raise RuntimeError(f"simulation exceeded {max_events} events")
-            t, _, kind, epoch, data = heappop(heap)
+            t, _, kind, data = heappop(heap)
             self.now = t
-            if epoch != self.epoch:
-                continue  # stale (pre-failure) event
             if kind == "src":
                 src, off = data
                 lane, part, base, floor = src
@@ -615,7 +634,7 @@ class Simulation:
                             f"partition {lane.w} of source {lane.ch[2]!r} is not in "
                             f"ingest-time order at offset {nxt}"
                         )
-                    heappush(heap, (t_next, base + nxt, "src", epoch, (src, nxt)))
+                    heappush(heap, (t_next, base + nxt, "src", (src, nxt)))
                 self._enqueue(t, Message(off, part[off], lane))
             elif kind == "arrive":
                 if not self.failed:
@@ -625,7 +644,7 @@ class Simulation:
                 for m in self.current[w] or ():
                     if not m.lane.to_sink:
                         self._counter += 1
-                        heappush(heap, (t + latency, self._counter, "arrive", self.epoch, m))
+                        heappush(heap, (t + latency, self._counter, "arrive", m))
                         continue
                     # the external sink: the first arrival of a uid wins
                     last_sink, rec = t + latency, m.record

@@ -1,18 +1,14 @@
-"""Unit tests for logical dataflow graphs, routing and validation."""
+"""Unit tests for logical dataflow graphs and their validation. Routing is
+tested on the simulator, whose routing tables implement it."""
 import pytest
 
 from repro.core.config import make_protocol
 from repro.dataflow.graph import Edge, LogicalGraph, OperatorSpec
-from repro.dataflow.messages import Record, stable_hash
 from repro.dataflow.operators import Operator
 from repro.dataflow.simulator import Simulation
 from repro.nexmark.cyclic import cyclic_topics, reachability_graph
 from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
-
-
-def _rec(key=7, value=None):
-    return Record(uid="r", key=key, value=value or {}, ingest_ts=0.0, kind="event")
 
 
 def chain() -> LogicalGraph:
@@ -85,30 +81,6 @@ class TestCycles:
 
     def test_reachability_cyclic(self):
         assert reachability_graph().has_cycle()
-
-
-class TestRouting:
-    def test_forward_routes_to_same_index(self):
-        e = Edge("a", "b", routing="forward")
-        assert e.route(_rec(), 3, 8) == [3]
-
-    def test_hash_uses_record_key_by_default(self):
-        e = Edge("a", "b", routing="hash")
-        assert e.route(_rec(key=7), 0, 4) == [stable_hash(7) % 4]
-
-    def test_hash_uses_key_fn(self):
-        e = Edge("a", "b", routing="hash", key_fn=lambda r: r.value["k"])
-        assert e.route(_rec(value={"k": 11}), 0, 4) == [stable_hash(11) % 4]
-
-    def test_hash_deterministic(self):
-        e = Edge("a", "b", routing="hash")
-        assert e.route(_rec(key=5), 0, 7) == e.route(_rec(key=5), 3, 7)
-
-    def test_broadcast_pred_overrides_hash(self):
-        e = Edge("a", "b", routing="hash",
-                 broadcast_pred=lambda r: r.value.get("op") == "del_source")
-        assert e.route(_rec(value={"op": "del_source"}), 0, 3) == [0, 1, 2]
-        assert len(e.route(_rec(value={"op": "source"}, key=1), 0, 3)) == 1
 
 
 #: per graph: its non-sink operators (all counted under COOR), and those

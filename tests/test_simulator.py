@@ -9,8 +9,10 @@ from helpers import FAIL_AT, INTERVAL, W, checkpoints_frame, run_cyclic, run_que
 from repro.core.config import ExperimentConfig, build, make_protocol
 from repro.core.mst import measure_mst
 from repro.dataflow.costs import SimCost
+from repro.dataflow.graph import Edge, LogicalGraph, OperatorSpec
 from repro.dataflow.kafka_sim import ReplayableLog
-from repro.dataflow.messages import Record
+from repro.dataflow.messages import Record, stable_hash
+from repro.dataflow.operators import FilterOp, Operator
 from repro.dataflow.simulator import Simulation, gc_paused
 from repro.nexmark.cyclic import reachability_graph
 from repro.nexmark.generator import topics_for_query
@@ -113,6 +115,72 @@ class TestChannelLists:
             assert ch in sim.store.get((ch[2], ch[3]), 0).last_recv, ch
 
 
+def _landed(w, records, **edge):
+    """Run ``src -> op -> sink`` on ``w`` workers, where the first edge is
+    ``Edge("src", "op", **edge)`` and record ``i`` is on partition
+    ``i % w``, and return per record uid its sending worker and the ``op``
+    workers its messages landed on, in send order."""
+    g = LogicalGraph()
+    g.add_op(OperatorSpec("src", "source", factory=Operator, source_topic="t"))
+    g.add_op(OperatorSpec("op", "filter", factory=lambda: FilterOp(pred=lambda v: True)))
+    g.add_op(OperatorSpec("sink", "sink"))
+    g.add_edge(Edge("src", "op", **edge))
+    g.add_edge(Edge("op", "sink", routing="forward"))
+    records = [Record(uid=f"r{i}", key=key, value=value, ingest_ts=0.01 * i, kind="event")
+               for i, (key, value) in enumerate(records)]
+    sim = Simulation(g, w, NoneProtocol(), {"t": ReplayableLog.from_records("t", records, w)})
+    landed = {}
+    on_send = sim.protocol.on_send
+
+    def record(t, inst, msg):
+        if inst[0] == "src":
+            assert msg.lane.ch[:3] == ("src", inst[1], "op") and msg.lane.w == msg.lane.ch[3]
+            landed.setdefault(msg.record.uid, (inst[1], []))[1].append(msg.lane.w)
+        on_send(t, inst, msg)
+
+    sim.protocol.on_send = record
+    res = sim.run(1.0)
+    assert res.telemetry.n_sinked == len(records)
+    return landed
+
+
+class TestRouting:
+    def test_forward_routes_to_same_index(self):
+        landed = _landed(8, [(7, {})] * 16, routing="forward")
+        assert {src for src, _ in landed.values()} == set(range(8))
+        assert all(dst == [src] for src, dst in landed.values())
+
+    def test_hash_uses_record_key_by_default(self):
+        keys = [7, 11, "x", (1, 2), 0]
+        landed = _landed(4, [(k, {"k": 0}) for k in keys], routing="hash")
+        assert [landed[f"r{i}"][1] for i in range(len(keys))] == [
+            [stable_hash(k) % 4] for k in keys]
+
+    def test_hash_uses_key_fn(self):
+        ks = [11, 3, 8, 5, 21]
+        landed = _landed(4, [(0, {"k": k}) for k in ks], routing="hash",
+                         key_fn=lambda r: r.value["k"])
+        assert [landed[f"r{i}"][1] for i in range(len(ks))] == [[stable_hash(k) % 4] for k in ks]
+        assert len({landed[f"r{i}"][1][0] for i in range(len(ks))}) > 1  # not record.key
+
+    def test_hash_does_not_depend_on_the_sender(self):
+        landed = _landed(7, [(5, {})] * 14, routing="hash")
+        assert {src for src, _ in landed.values()} == set(range(7))
+        assert all(dst == [stable_hash(5) % 7] for _, dst in landed.values())
+
+    @pytest.mark.parametrize("routing", ["hash", "forward"])
+    def test_broadcast_pred_reaches_every_worker(self, routing):
+        ops = ["del_source", "source"] * 6
+        landed = _landed(3, [(1, {"op": op}) for op in ops], routing=routing,
+                         broadcast_pred=lambda r: r.value["op"] == "del_source")
+        for i, op in enumerate(ops):
+            src, dst = landed[f"r{i}"]
+            if op == "del_source":
+                assert dst == [0, 1, 2]
+            else:
+                assert dst == [src if routing == "forward" else stable_hash(1) % 3]
+
+
 class TestFailureFree:
     def test_none_protocol_takes_no_checkpoints(self):
         res = tiny().run(4.0)
@@ -145,6 +213,43 @@ class TestFailureInjection:
         pre = max(l for s, l in lats if s < 6.0)
         post = max(l for s, l in lats if s >= 6.0)
         assert post > 10 * pre  # replayed records carry their old ingest ts
+
+    def test_failure_drops_every_pending_event(self):
+        """A callback, a dispatch's ``proc`` and an ``arrive`` pending when
+        the failure happens never run; the detection it schedules does."""
+        sim = tiny(rate=2000.0, duration=2.0)  # over capacity: workers stay busy
+        sim.protocol = UncoordinatedProtocol(0.5)
+        sim.protocol.bind(sim)
+        pending, ran, enqueued = {}, [], []
+        enqueue = sim._enqueue
+
+        def fail_when_all_pending(t):
+            """Fail at the first sample with both a non-sink ``proc`` and
+            an ``arrive`` pending."""
+            procs = [m for ev in sim.heap if ev[2] == "proc"
+                     for m in sim.current[ev[-1]] if not m.lane.to_sink]
+            arrivals = [ev[-1] for ev in sim.heap if ev[2] == "arrive"]
+            if not (procs and arrivals):
+                sim.call_at(t + 1e-4, fail_when_all_pending)
+                return
+            pending.update(proc=procs, arrive=arrivals)
+            sim.call_at(t + 0.01, ran.append)  # a callback due after the failure
+            sim._fail(t)
+
+        def on_enqueue(t, msg):
+            enqueued.append(msg)
+            enqueue(t, msg)
+
+        sim._enqueue = on_enqueue
+        sim.call_at(0.5, fail_when_all_pending)
+        res = sim.run(2.0)
+        rec = res.telemetry.recovery
+        assert pending and ran == []
+        stale = {id(m) for msgs in pending.values() for m in msgs}
+        assert not any(id(m) in stale for m in enqueued)
+        assert rec["t_detect"] == rec["t_fail"] + sim.cost.detect_delay
+        assert rec["t_resume"] > rec["t_detect"]
+        assert len(res.sink_values()) == 4000
 
     def test_detect_delay_matches_cost_model(self):
         res = run_query("q12", "UNC", fail_at=6.0)
