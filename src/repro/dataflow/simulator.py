@@ -83,14 +83,22 @@ fixed by the rules above):
   cyclic collector would only re-scan the long-lived topic records, state,
   snapshots and message log. ``TestMemoryModel`` in the simulator tests
   checks that build, run and drop leave no cyclic garbage, which is what
-  makes the pause safe.
+  makes the pause safe. Snapshot payloads stay bounded on long runs: the
+  store keeps a payload only while some present or future recovery line
+  can restore it. The resume retires the checkpoints above the restored
+  line, COOR drops the payloads below each completed round's line, and
+  UNC/CIC drop those below the greatest consistent line, found again
+  after every ``len(instances)`` checkpoints they store. A restore that
+  meets a dropped payload raises ``RuntimeError``.
 
 Each run fact is kept once: the sink output in ``sinks`` (uid -> value per
 sink, first arrival wins), a checkpoint as one ``Checkpoint`` record in
-the ``store`` (snapshot and channel counters; the counted ones also
-listed, as the same objects, in ``telemetry.checkpoints``), and one
-latency sample per first arrival in the ``telemetry.sink_ts``/
-``ingest_ts`` columns.
+the ``store`` (channel counters, and the snapshot while a recovery line
+can still reach it; the counted records also listed, as the same
+objects, in ``telemetry.checkpoints``), and one latency sample per first
+arrival in the ``telemetry.sink_ts``/``ingest_ts`` columns. The final
+state fingerprints are not kept: ``SimResult.state_fingerprints``
+computes them from the instances on first read.
 """
 from __future__ import annotations
 
@@ -99,7 +107,7 @@ import heapq
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional
 
@@ -163,16 +171,26 @@ class _Lane:
 
 @dataclass
 class SimResult:
-    """Outcome of one simulation run. ``sink_results`` is the simulation's
-    own sink dict, not a copy: a simulation runs once."""
+    """Outcome of one simulation run. ``sink_results`` and ``instances`` are
+    the simulation's own dicts, not copies: a simulation runs once."""
 
     telemetry: Telemetry
     sink_results: Dict[str, Dict[str, Any]]  #: sink op -> uid -> value
     duration: float
     n_dedup_drops: int
     n_duplicate_sink_arrivals: int
-    state_fingerprints: Dict[InstanceId, Any]
     store: CheckpointStore
+    instances: Dict[InstanceId, Any]  #: the operator instances in their final state
+
+    @cached_property
+    def state_fingerprints(self) -> Dict[InstanceId, Any]:
+        """Every ``KeyedOp``'s final state fingerprint, computed on first
+        read: the tables never read it, and it sorts all keyed state."""
+        return {
+            inst: op.state_fingerprint()
+            for inst, op in self.instances.items()
+            if isinstance(op, KeyedOp)
+        }
 
     def sink_values(self, sink: Optional[str] = None) -> Dict[str, Any]:
         if sink is None:
@@ -277,7 +295,6 @@ class Simulation:
         self.heap: list = []
         self._counter = 0
         self.now = 0.0
-        self.failed = False
         #: virtual time after which protocols stop scheduling new timers /
         #: rounds, so the event loop can drain to quiescence (set in run())
         self.horizon = float("inf")
@@ -331,7 +348,7 @@ class Simulation:
     def _enqueue(self, t: float, msg: Message) -> None:
         lane = msg.lane
         w = lane.w
-        free = self.current[w] is None and self.busy_until[w] <= t and not self.failed
+        free = self.current[w] is None and self.busy_until[w] <= t
         if free and not self.heads[w] and not lane.blocked:
             self._start(w, lane, msg, t)  # direct dispatch
             return
@@ -355,7 +372,7 @@ class Simulation:
 
     # -------------------------------------------------------------- dispatch
     def _dispatch(self, w: int, t: float) -> None:
-        if self.failed or self.current[w] is not None or self.busy_until[w] > t:
+        if self.current[w] is not None or self.busy_until[w] > t:
             return
         heads = self.heads[w]
         while heads:
@@ -503,7 +520,6 @@ class Simulation:
         external sink still arrive: ``_loop`` recorded them when their
         ``proc`` popped. The heap and worker lists are emptied in place,
         because ``_loop`` holds the heap."""
-        self.failed = True
         self.heap.clear()
         for lane in self.lanes.values():
             lane.q.clear()
@@ -539,16 +555,20 @@ class Simulation:
 
     def _resume(self, plan, t: float) -> None:
         for inst, idx in plan.line.items():
+            self.store.retire_above(inst, idx)
             cp = self.store.get(inst, idx)
             op = self.instances[inst]
             if isinstance(op, KeyedOp):
+                if cp.state is None:
+                    raise RuntimeError(
+                        f"checkpoint {idx} of {inst} has no payload to restore: it was dropped"
+                    )
                 op.restore(cp.state)
             for ch, s in cp.last_sent.items():
                 self.lanes[ch].sent = s
                 self.msg_log.truncate(ch, s)
             for ch, s in cp.last_recv.items():
                 self.lanes[ch].recv = s
-        self.failed = False
         for lane in self.source_lanes.values():
             self._schedule_source_records(lane, t + 1e-6)
         k, latency = 0, self.cost.channel_latency
@@ -587,19 +607,14 @@ class Simulation:
                 for lane in self.lanes.values():
                     lane.routes = ()
 
-            fingerprints = {
-                inst: op.state_fingerprint()
-                for inst, op in self.instances.items()
-                if isinstance(op, KeyedOp)
-            }
             return SimResult(
                 telemetry=self.telemetry,
                 sink_results=self.sinks,
                 duration=self.now,
                 n_dedup_drops=self.n_dedup_drops,
                 n_duplicate_sink_arrivals=self.n_dup_sink,
-                state_fingerprints=fingerprints,
                 store=self.store,
+                instances=self.instances,
             )
 
     def _loop(self, duration: float, fail_at: Optional[float], max_events: int) -> None:
@@ -637,8 +652,7 @@ class Simulation:
                     heappush(heap, (t_next, base + nxt, "src", (src, nxt)))
                 self._enqueue(t, Message(off, part[off], lane))
             elif kind == "arrive":
-                if not self.failed:
-                    self._enqueue(t, data)
+                self._enqueue(t, data)
             elif kind == "proc":
                 w = data
                 for m in self.current[w] or ():

@@ -23,6 +23,10 @@ class Checkpoint:
     recovery line (orphan detection), choosing the replay interval per
     channel, and receiver-side deduplication after rollback. A source's
     Kafka offset is the ``last_recv`` entry of its source channel.
+
+    ``state`` is None on an instance that is not a ``KeyedOp``, and once
+    the store has dropped the payload (see :class:`CheckpointStore`); the
+    record and its counters stay for the whole run.
     """
 
     instance: InstanceId
@@ -35,13 +39,27 @@ class Checkpoint:
     last_recv: Dict[Channel, int] = field(default_factory=dict)
     duration: float = 0.0  #: modelled checkpointing time for this snapshot
     state: Any = None  #: copy-on-write snapshot of a ``KeyedOp``'s state
+    dead: bool = False  #: retired: above the line a recovery restored
 
 
 class CheckpointStore:
-    """Durable store of checkpoints, keyed by instance, ordered by index."""
+    """Durable store of checkpoints, keyed by instance, ordered by index.
+
+    Every record stays for the whole run, because Table III counts them.
+    An instance's *live chain* holds the records a present or future
+    recovery line can use: all of them until a recovery restores a line,
+    which retires every record above it (:meth:`retire_above`). Along the
+    live chain the channel counters rise with the index, which is what the
+    recovery line's fixpoint needs. A payload that no later line can reach
+    is dropped: a dead record's, and a live record's below a line that
+    every later recovery line is at or above (:meth:`release_below`).
+    """
 
     def __init__(self):
         self._by_instance: Dict[InstanceId, List[Checkpoint]] = {}
+        self._live: Dict[InstanceId, List[Checkpoint]] = {}
+        #: inst -> position in its live chain below which no record holds a payload
+        self._released: Dict[InstanceId, int] = {}
 
     def put(self, cp: Checkpoint) -> None:
         lst = self._by_instance.setdefault(cp.instance, [])
@@ -50,9 +68,34 @@ class CheckpointStore:
                 f"checkpoint index {cp.index} of {cp.instance} is not the next {len(lst)}"
             )
         lst.append(cp)
+        self._live.setdefault(cp.instance, []).append(cp)
 
     def checkpoints(self, inst: InstanceId) -> List[Checkpoint]:
+        """Every record of ``inst``, dead ones included, in index order."""
         return self._by_instance.get(inst, [])
+
+    def live(self, inst: InstanceId) -> List[Checkpoint]:
+        """The live chain of ``inst``, in index order."""
+        return self._live.get(inst, [])
+
+    def retire_above(self, inst: InstanceId, index: int) -> None:
+        """Mark ``inst``'s live records above ``index`` dead and drop their
+        payloads: a recovery restored ``index``, so they hold a history
+        that was rolled back."""
+        live = self._live[inst]
+        while live[-1].index > index:
+            cp = live.pop()
+            cp.dead, cp.state = True, None
+
+    def release_below(self, inst: InstanceId, index: int) -> None:
+        """Drop the payloads of ``inst``'s live records below ``index``. The
+        caller knows that no later recovery line restores ``inst`` below
+        ``index``."""
+        live, pos = self._live[inst], self._released.get(inst, 0)
+        while live[pos].index < index:
+            live[pos].state = None
+            pos += 1
+        self._released[inst] = pos
 
     def get(self, inst: InstanceId, index: int) -> Checkpoint:
         return self._by_instance[inst][index]

@@ -9,6 +9,8 @@ consistent cut without channel state, so recovery needs no in-flight
 replay and no recovery-line search. COOR holds only its running round and
 the line of the last completed one, so its state is O(instances) however
 long the run; the store holds each round's checkpoints (``round_id``).
+Recovery restores only the last completed round, so when a round
+completes the payloads of every checkpoint below its line are dropped.
 """
 from __future__ import annotations
 
@@ -74,6 +76,9 @@ class CoordinatedProtocol(Protocol):
         if len(self.members) == len(self.sim.instances):
             start, end = self.round_start, t + self.sim.cost.store_rtt
             self.last_completed, self.line = self.round_id, self.members
+            store = self.sim.store
+            for inst, idx in self.line.items():
+                store.release_below(inst, idx)
             self.sim.telemetry.rounds.append((self.round_id, start, end - start))
             self.sim.telemetry.proto_msg_bytes += self.ROUND_CTRL_BYTES * self.sim.W
             # fixed-period rounds (Flink-style): the next round starts one

@@ -11,13 +11,21 @@ as a fixpoint over the channel counters:
 
 - start every instance at its freshest checkpoint;
 - while some channel has an orphan, move its receiver back to its latest
-  checkpoint without that orphan (index 0 has processed nothing, so the
-  walk stops there at the latest).
+  live checkpoint without that orphan (index 0 has processed nothing, so
+  the walk stops there at the latest).
 
 A receiver only moves when every consistent line below the current one
 has it at or below its new index, so the fixpoint is the greatest
 consistent line. That holds while ``last_sent``/``last_recv`` rise with
-the checkpoint index.
+the checkpoint index, so the walk runs over each instance's *live chain*
+(``CheckpointStore.live``) and moves a receiver to its previous live
+record. A recovery retires the records above the line it restored, and
+the counters the resumed run records rise again from that line, so they
+rise along the live chain after any number of recoveries.
+
+A consistent line stays consistent as checkpoints are added, so the
+greatest line only moves up: every later recovery line is at or above
+the one found now. UNC/CIC use this to drop the payloads below it.
 
 The channels come from the checkpoints themselves: every checkpoint, the
 initial one included, records each of its instance's out channels as a
@@ -25,7 +33,7 @@ initial one included, records each of its instance's out channels as a
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 from repro.dataflow.messages import Channel, InstanceId
 from repro.dataflow.state import CheckpointStore
@@ -46,21 +54,24 @@ def channel_counters(
 
 def find_recovery_line(
     store: CheckpointStore,
-    instances: List[InstanceId],
+    instances: Iterable[InstanceId],
     counted: Iterable[InstanceId],
 ) -> Tuple[Dict[InstanceId, int], int]:
     """Compute the recovery line.
 
     Returns ``(line, invalid_nodes)`` where ``invalid_nodes`` is the
-    number of checkpoints newer than the line (the checkpoints that can no
-    longer be part of any consistent recovery line — paper Table III
-    counts these) over the ``counted`` instances.
+    number of live checkpoints newer than the line (the checkpoints that
+    can no longer be part of any consistent recovery line — paper Table
+    III counts these) over the ``counted`` instances.
     """
-    latest = {inst: len(store.checkpoints(inst)) - 1 for inst in instances}
-    line = dict(latest)
+    chains = {inst: store.live(inst) for inst in instances}
+    pos = {inst: len(chain) - 1 for inst, chain in chains.items()}
+    line = {inst: chain[-1].index for inst, chain in chains.items()}
     while orphans := [(ch, sent) for ch, recv, sent in channel_counters(store, line) if recv > sent]:
         for ch, sent in orphans:
             dst = (ch[2], ch[3])
-            while store.get(dst, line[dst]).last_recv.get(ch, 0) > sent:
-                line[dst] -= 1
-    return line, sum(latest[i] - line[i] for i in counted)
+            chain = chains[dst]
+            while chain[pos[dst]].last_recv.get(ch, 0) > sent:
+                pos[dst] -= 1
+            line[dst] = chain[pos[dst]].index
+    return line, sum(len(chains[i]) - 1 - pos[i] for i in counted)

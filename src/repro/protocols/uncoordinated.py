@@ -16,6 +16,12 @@ Stateless non-source operators do not take counted state checkpoints
 (paper: "the stateless, non-source operators do not need to participate");
 they do persist their channel counters (cheap metadata-only checkpoints)
 so the recovery line is well defined on every channel.
+
+Checkpoint GC (as in the paper's ref. [47]): after every ``len(instances)``
+checkpoints the protocol stores, it finds the greatest consistent line of
+the checkpoints so far and drops the payloads below it. That line only
+moves up as checkpoints are added, so no later recovery line reaches a
+dropped payload, and an instance keeps the payloads from its line on.
 """
 from __future__ import annotations
 
@@ -47,6 +53,7 @@ class UncoordinatedProtocol(Protocol):
         super().__init__()
         self.interval = interval
         self._period: Dict[InstanceId, float] = {}
+        self._stored = 0  #: checkpoints stored since the last GC
 
     # -- timers ------------------------------------------------------------
     def bind(self, sim) -> None:
@@ -81,6 +88,17 @@ class UncoordinatedProtocol(Protocol):
         # checkpoint metadata announced to the coordinator (Table II: the
         # only message overhead UNC introduces)
         self.sim.telemetry.proto_msg_bytes += CKPT_META_BYTES
+        self._stored += 1
+        if self._stored == len(self.sim.instances):
+            self._stored = 0
+            self._collect()
+
+    def _collect(self) -> None:
+        """Drop the payloads below the greatest consistent line so far."""
+        store = self.sim.store
+        line, _ = find_recovery_line(store, self.sim.instances, ())
+        for inst, idx in line.items():
+            store.release_below(inst, idx)
 
     # -- data path ---------------------------------------------------------
     def on_send(self, t: float, inst: InstanceId, msg: Message) -> None:

@@ -139,6 +139,26 @@ class TestCheckpointStore:
         st.put(ckpt(("b", 1), 0))
         assert st.total_count() == 2
 
+    def test_retire_keeps_the_records_and_leaves_the_live_chain(self):
+        st, a = CheckpointStore(), ("a", 0)
+        for i in range(4):
+            st.put(ckpt(a, i, state={"i": i}))
+        st.retire_above(a, 1)
+        st.put(ckpt(a, 4, state={"i": 4}))
+        assert [cp.index for cp in st.checkpoints(a)] == [0, 1, 2, 3, 4]
+        assert [cp.index for cp in st.live(a)] == [0, 1, 4]
+        assert [(cp.dead, cp.state) for cp in st.checkpoints(a)[2:4]] == [(True, None)] * 2
+        assert st.get(a, 1).state == {"i": 1} and not st.get(a, 1).dead
+
+    def test_release_drops_payloads_below_the_index_only(self):
+        st, a = CheckpointStore(), ("a", 0)
+        for i in range(5):
+            st.put(ckpt(a, i, state={"i": i}))
+        st.release_below(a, 2)
+        st.release_below(a, 3)
+        assert [cp.state is None for cp in st.checkpoints(a)] == [True] * 3 + [False] * 2
+        assert not any(cp.dead for cp in st.checkpoints(a))
+
 
 class TestMessageLog:
     def test_replay_range_inclusive_exclusive(self):

@@ -45,6 +45,17 @@ class Builder:
     def line(self):
         return find_recovery_line(self.store, self.insts, self.insts)
 
+    def rollback(self, line=None):
+        """A recovery: restore ``line`` (the recovery line by default),
+        retire the checkpoints above it and set every channel counter back
+        to it."""
+        line = line or self.line()[0]
+        for inst, idx in line.items():
+            self.store.retire_above(inst, idx)
+        for ch in self.channels:
+            self.sent[ch] = self.store.get((ch[0], ch[1]), line[ch[0], ch[1]]).last_sent[ch]
+            self.recv[ch] = self.store.get((ch[2], ch[3]), line[ch[2], ch[3]]).last_recv[ch]
+
     def consistent(self, line: Dict[tuple, int]) -> bool:
         """No channel received more than its sender had sent (no orphan)."""
         return all(
@@ -109,6 +120,25 @@ class TestSimpleScenarios:
         assert line == {("A", 0): 1, ("B", 0): 0}
         assert invalid == 2
 
+    def test_live_chain_after_a_rollback(self):
+        """The counters drop at a rollback and rise again. B's dead
+        checkpoint 2 would end the walk back from B3; the line skips it
+        to B1, the greatest consistent line over the live checkpoints."""
+        b = Builder(["A", "B"], [("A", "B")])
+        b.send("A", "B", 5); b.deliver("A", "B", 5)
+        b.checkpoint("A"); b.checkpoint("B")  # A1 sent=5, B1 recv=5
+        b.send("A", "B"); b.deliver("A", "B")
+        b.checkpoint("B"); b.checkpoint("A")  # B2 recv=6, A2 sent=6
+        b.rollback({("A", 0): 1, ("B", 0): 1})
+        assert b.sent[("A", 0, "B", 0)] == b.recv[("A", 0, "B", 0)] == 5
+        assert [cp.dead for cp in b.store.checkpoints(("B", 0))] == [False, False, True]
+        b.send("A", "B", 2); b.checkpoint("A")  # A3 sent=7
+        b.send("A", "B", 2); b.deliver("A", "B", 4)
+        b.checkpoint("B")  # B3 recv=9: an orphan against A3
+        line, invalid = b.line()
+        assert line == {("A", 0): 3, ("B", 0): 1}
+        assert invalid == 1  # B3; the dead A2 and B2 are not live
+
     def test_initial_checkpoints_always_fallback(self):
         b = Builder(["A", "B"], [("A", "B")])
         # traffic but no real checkpoints at all: line = initial everywhere
@@ -128,13 +158,15 @@ TOPOLOGIES = [
 
 
 @st.composite
-def execution(draw, min_steps=0):
+def execution(draw, min_steps=0, rollbacks=False):
     """Random consistent execution over one of ``TOPOLOGIES``: sends and
-    deliveries of 1-3 messages and checkpoints."""
+    deliveries of 1-3 messages and checkpoints, and with ``rollbacks``
+    also recoveries to the recovery line."""
     ops, channels = draw(st.sampled_from(TOPOLOGIES))
     b = Builder(ops, channels)
     steps = draw(st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, len(channels) - 1), st.integers(1, 3)),
+        st.tuples(st.integers(0, 3 if rollbacks else 2), st.integers(0, len(channels) - 1),
+                  st.integers(1, 3)),
         min_size=min_steps, max_size=60,
     ))
     for kind, which, n in steps:
@@ -144,8 +176,10 @@ def execution(draw, min_steps=0):
         elif kind == 1:
             a, c = channels[which]
             b.deliver(a, c, n)
-        else:
+        elif kind == 2:
             b.checkpoint(ops[which % len(ops)])
+        else:
+            b.rollback()
     return b
 
 
@@ -173,6 +207,27 @@ class TestRollbackPropagationProperties:
         line, _ = b.line()
         counts = [len(b.store.checkpoints(i)) for i in b.insts]
         for idx in product(*(range(n) for n in counts)):
+            cand = dict(zip(b.insts, idx))
+            if b.consistent(cand):
+                assert all(cand[i] <= line[i] for i in b.insts), (cand, line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(execution(min_steps=30, rollbacks=True))
+    def test_line_is_the_maximum_over_the_live_chain(self, b):
+        """After rollbacks, the line is the greatest consistent line over
+        the live checkpoints, and never names a dead one."""
+        line, invalid = b.line()
+        live = [b.store.live(i) for i in b.insts]
+        for chain in live:  # the fixpoint's precondition: counters rise along it
+            for older, newer in zip(chain, chain[1:]):
+                assert all(older.last_sent[ch] <= newer.last_sent[ch] for ch in older.last_sent)
+                assert all(older.last_recv[ch] <= newer.last_recv[ch] for ch in older.last_recv)
+        assert not any(b.store.get(i, line[i]).dead for i in b.insts)
+        assert b.consistent(line)
+        assert invalid == sum(
+            sum(cp.index > line[i] for cp in chain) for i, chain in zip(b.insts, live)
+        )
+        for idx in product(*([cp.index for cp in chain] for chain in live)):
             cand = dict(zip(b.insts, idx))
             if b.consistent(cand):
                 assert all(cand[i] <= line[i] for i in b.insts), (cand, line)
